@@ -1,10 +1,10 @@
 //! Measurement sweeps and overhead arithmetic.
 
-use pibe_ir::Module;
+use pibe_ir::{par, Module};
 use pibe_kernel::measure::{run_latency, run_throughput};
 use pibe_kernel::workloads::{Benchmark, MacroBench, WorkloadSpec};
 use pibe_kernel::Kernel;
-use pibe_sim::{AttackReport, SimConfig};
+use pibe_sim::{AttackReport, SimConfig, SimError};
 use serde::{Deserialize, Serialize};
 
 /// One LMBench row measured on one image.
@@ -20,11 +20,13 @@ pub struct LatencyRow {
 
 /// Runs the whole latency `suite` against `module`, one warm simulator per
 /// benchmark (as LMBench runs each micro in its own process), in parallel
-/// across benchmarks.
+/// across benchmarks on the bounded worker pool (`PIBE_BUILD_THREADS`
+/// wide). Rows come back in suite order whatever the thread count.
 ///
 /// # Panics
 /// Panics if the simulator fails, which a well-formed kernel image cannot
-/// cause — an error here means the image or workload is malformed.
+/// cause — an error here means the image or workload is malformed. The
+/// message names the benchmark and the seed.
 pub fn lmbench_latencies(
     module: &Module,
     kernel: &Kernel,
@@ -33,29 +35,25 @@ pub fn lmbench_latencies(
     cfg: SimConfig,
     seed: u64,
 ) -> Vec<LatencyRow> {
-    let mut rows: Vec<Option<LatencyRow>> = Vec::new();
-    rows.resize_with(suite.len(), || None);
-    crossbeam::thread::scope(|scope| {
-        for (slot, bench) in rows.iter_mut().zip(suite.iter()) {
-            scope.spawn(move |_| {
-                let (lat, _, _) = run_latency(module, kernel, workload, *bench, cfg, seed)
-                    .expect("latency benchmark must run on a well-formed image");
-                *slot = Some(LatencyRow {
-                    name: bench.syscall.name().to_string(),
-                    cycles: lat.cycles_per_iter,
-                    micros: lat.micros,
-                });
-            });
+    par::map_indexed(suite.len(), par::default_threads(), |i| {
+        let bench = suite[i];
+        let (lat, _, _) = run_latency(module, kernel, workload, bench, cfg, seed)
+            .unwrap_or_else(|e| panic!("{}", bench_failure("latency", bench, seed, &e)));
+        LatencyRow {
+            name: bench.syscall.name().to_string(),
+            cycles: lat.cycles_per_iter,
+            micros: lat.micros,
         }
     })
-    .expect("benchmark thread panicked");
-    rows.into_iter()
-        .map(|r| r.expect("all slots filled"))
-        .collect()
 }
 
 /// Runs the suite and additionally aggregates the dynamic attack surface
-/// across all benchmarks (for the security evaluation).
+/// across all benchmarks (for the security evaluation). Benchmarks run on
+/// the same pool as [`lmbench_latencies`]; their reports merge in suite
+/// order.
+///
+/// # Panics
+/// Panics if the simulator fails, naming the benchmark and the seed.
 pub fn lmbench_attack_surface(
     module: &Module,
     kernel: &Kernel,
@@ -68,13 +66,26 @@ pub fn lmbench_attack_surface(
         track_attacks: true,
         ..cfg
     };
+    let reports = par::map_indexed(suite.len(), par::default_threads(), |i| {
+        let bench = suite[i];
+        let (_, _, attacks) = run_latency(module, kernel, workload, bench, cfg, seed)
+            .unwrap_or_else(|e| panic!("{}", bench_failure("attack-tracked", bench, seed, &e)));
+        attacks
+    });
     let mut total = AttackReport::default();
-    for bench in suite {
-        let (_, _, attacks) = run_latency(module, kernel, workload, *bench, cfg, seed)
-            .expect("attack-tracked benchmark must run");
-        total.merge(&attacks);
+    for attacks in &reports {
+        total.merge(attacks);
     }
     total
+}
+
+/// The panic message of a failed simulated benchmark: what ran, where,
+/// under which seed, and why it failed.
+fn bench_failure(kind: &str, bench: Benchmark, seed: u64, e: &SimError) -> String {
+    format!(
+        "{kind} benchmark {} (seed {seed:#x}) must run on a well-formed image: {e}",
+        bench.syscall.name()
+    )
 }
 
 /// Macro throughput of `bench` on `module` (requests/sec analogue).
@@ -86,8 +97,12 @@ pub fn macro_throughput(
     cfg: SimConfig,
     seed: u64,
 ) -> f64 {
-    let (t, _) = run_throughput(module, kernel, workload, bench, cfg, seed)
-        .expect("macro benchmark must run on a well-formed image");
+    let (t, _) = run_throughput(module, kernel, workload, bench, cfg, seed).unwrap_or_else(|e| {
+        panic!(
+            "macro benchmark {} (seed {seed:#x}) must run on a well-formed image: {e}",
+            bench.name
+        )
+    });
     t.requests_per_sec
 }
 
@@ -167,5 +182,54 @@ mod tests {
         for (a, b) in rows.iter().zip(&rows2) {
             assert_eq!(a.cycles, b.cycles);
         }
+    }
+
+    /// The pooled suite equals `run_latency` called per benchmark in suite
+    /// order, and the pooled attack surface equals the suite-order merge.
+    #[test]
+    fn pooled_suite_equals_sequential_reference() {
+        let k = Kernel::generate(KernelSpec::test());
+        let wl = WorkloadSpec::lmbench();
+        let suite = lmbench_suite(3);
+        let cfg = SimConfig {
+            defenses: pibe_harden::DefenseSet::RETPOLINES,
+            ..SimConfig::default()
+        };
+        let rows = lmbench_latencies(&k.module, &k, &wl, &suite, cfg, 7);
+        assert_eq!(rows.len(), suite.len());
+        let tracked = SimConfig {
+            track_attacks: true,
+            ..cfg
+        };
+        let mut attacks = AttackReport::default();
+        for (row, bench) in rows.iter().zip(&suite) {
+            let (lat, _, _) = run_latency(&k.module, &k, &wl, *bench, cfg, 7).unwrap();
+            assert_eq!(row.name, bench.syscall.name());
+            assert_eq!(row.cycles.to_bits(), lat.cycles_per_iter.to_bits());
+            assert_eq!(row.micros.to_bits(), lat.micros.to_bits());
+            attacks.merge(
+                &run_latency(&k.module, &k, &wl, *bench, tracked, 7)
+                    .unwrap()
+                    .2,
+            );
+        }
+        assert_eq!(
+            lmbench_attack_surface(&k.module, &k, &wl, &suite, cfg, 7),
+            attacks
+        );
+    }
+
+    /// A failure inside a pool worker names the benchmark and the seed.
+    #[test]
+    #[should_panic(expected = "latency benchmark read (seed 0x7) must run")]
+    fn a_failing_benchmark_is_named_in_the_panic() {
+        let k = Kernel::generate(KernelSpec::test());
+        let wl = WorkloadSpec::lmbench();
+        let read = lmbench_suite(3)[1];
+        let cfg = SimConfig {
+            max_steps: 10,
+            ..SimConfig::default()
+        };
+        lmbench_latencies(&k.module, &k, &wl, &[read, read], cfg, 7);
     }
 }

@@ -10,8 +10,8 @@
 
 use super::{ExperimentError, Lab};
 use crate::report::{pct, Table};
-use pibe_kernel::measure::collect_profile;
-use pibe_profile::{overlap, Budget};
+use pibe_kernel::measure::collect_profile_rounds;
+use pibe_profile::{overlap, Budget, Profile};
 use serde::{Deserialize, Serialize};
 
 /// Overlap of an n-round profile's candidates with the reference profile.
@@ -25,12 +25,18 @@ pub struct ConvergencePoint {
     pub inline_shared_pct: f64,
 }
 
+/// The aggregated round counts the experiment reports, ascending.
+const ROUND_COUNTS: [u32; 4] = [1, 2, 4, 8];
+
 /// Measures candidate overlap for 1, 2, 4, and 8 aggregated rounds against
 /// the lab's reference profile.
 ///
+/// The 8 rounds are profiled once; the n-round profile is the merge of the
+/// first n of them, which equals `collect_profile(.., n, ..)`.
+///
 /// # Errors
-/// [`ExperimentError::Profiling`] naming the round count and seed when one
-/// of the re-profiling runs fails.
+/// [`ExperimentError::Profiling`] naming the round count and seed when the
+/// profiling runs fail.
 pub fn profiling_convergence(lab: &Lab) -> Result<(Table, Vec<ConvergencePoint>), ExperimentError> {
     let mut table = Table::new(
         "Profiling convergence: candidate overlap with the reference profile (99.9% budget)",
@@ -40,23 +46,29 @@ pub fn profiling_convergence(lab: &Lab) -> Result<(Table, Vec<ConvergencePoint>)
             "inline candidates shared",
         ],
     );
-    let mut out = Vec::new();
-    for rounds in [1u32, 2, 4, 8] {
-        let p = collect_profile(&lab.kernel, &lab.workload, &lab.suite, rounds, lab.seed).map_err(
-            |source| ExperimentError::Profiling {
-                workload: format!("{} ({rounds} rounds)", lab.workload.name),
+    let max_rounds = ROUND_COUNTS[ROUND_COUNTS.len() - 1];
+    let rounds =
+        collect_profile_rounds(&lab.kernel, &lab.workload, &lab.suite, max_rounds, lab.seed)
+            .map_err(|source| ExperimentError::Profiling {
+                workload: format!("{} ({max_rounds} rounds)", lab.workload.name),
                 seed: lab.seed,
                 source,
-            },
-        )?;
-        let ov = overlap::overlap(&lab.profile, &p, Budget::P99_9);
+            })?;
+    let mut merged = Profile::new();
+    let mut out = Vec::new();
+    for (n, round) in (1..).zip(&rounds) {
+        merged.merge(round);
+        if !ROUND_COUNTS.contains(&n) {
+            continue;
+        }
+        let ov = overlap::overlap(&lab.profile, &merged, Budget::P99_9);
         let point = ConvergencePoint {
-            rounds,
+            rounds: n,
             icp_shared_pct: ov.icp_shared_weight * 100.0,
             inline_shared_pct: ov.inline_shared_weight * 100.0,
         };
         table.row(vec![
-            rounds.to_string(),
+            n.to_string(),
             pct(point.icp_shared_pct),
             pct(point.inline_shared_pct),
         ]);
@@ -85,5 +97,33 @@ mod tests {
         let last = points.last().unwrap();
         assert!(last.icp_shared_pct >= points[0].icp_shared_pct - 5.0);
         assert!(last.inline_shared_pct > 75.0);
+    }
+
+    /// Every point equals an independent `collect_profile(n)` run.
+    #[test]
+    fn each_point_equals_a_fresh_n_round_profile() {
+        let lab = Lab::test();
+        let (_, points) = profiling_convergence(&lab).expect("convergence experiment runs");
+        let counts: Vec<u32> = points.iter().map(|p| p.rounds).collect();
+        assert_eq!(counts, ROUND_COUNTS);
+        for point in points {
+            let p = pibe_kernel::measure::collect_profile(
+                &lab.kernel,
+                &lab.workload,
+                &lab.suite,
+                point.rounds,
+                lab.seed,
+            )
+            .expect("profiling runs");
+            let ov = overlap::overlap(&lab.profile, &p, Budget::P99_9);
+            assert_eq!(
+                point.icp_shared_pct.to_bits(),
+                (ov.icp_shared_weight * 100.0).to_bits()
+            );
+            assert_eq!(
+                point.inline_shared_pct.to_bits(),
+                (ov.inline_shared_weight * 100.0).to_bits()
+            );
+        }
     }
 }

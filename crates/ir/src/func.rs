@@ -18,6 +18,7 @@ use crate::ids::{BlockId, FuncId, SiteId, Symbol};
 use crate::inst::{Inst, OpKind, Terminator};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// A basic block in its *owned* form: straight-line instructions ended by
 /// one terminator.
@@ -148,13 +149,15 @@ pub struct FnAttrs {
 /// # Memoized analyses
 ///
 /// Because functions are shared copy-on-write (`Arc<Function>` inside a
-/// module), an unchanged body is typically verified and size-costed many
-/// times across pipeline stages and sibling builds. Two interior-mutable
-/// caches make those repeats free: the last clean verification (keyed by
-/// the module size it was checked against) and the encoded byte size.
-/// Every `&mut self` accessor invalidates both, the caches survive
-/// `Clone`, and they are invisible to equality, serialization, and
-/// printing.
+/// module), an unchanged body is typically verified, size-costed and laid
+/// out many times across pipeline stages, sibling builds and simulator
+/// runs. Three interior-mutable caches make those repeats free: the last
+/// clean verification (keyed by the module size it was checked against),
+/// the encoded byte size, and the block byte offsets the code layout
+/// places the body with. Every `&mut self` accessor invalidates all
+/// three, the caches survive `Clone` (the offsets as a shared `Arc`), a
+/// deserialized or newly built body starts with all three cold, and they
+/// are invisible to equality, serialization, and printing.
 ///
 /// [`set_blocks`]: Function::set_blocks
 #[derive(Debug)]
@@ -172,6 +175,11 @@ pub struct Function {
     verified_ok: AtomicU32,
     /// Memoized encoded byte size; `u64::MAX` means dirty.
     cached_bytes: AtomicU64,
+    /// Memoized block byte offsets: `num_blocks + 1` prefix sums in block
+    /// order, so block `b` spans `offsets[b]..offsets[b + 1]`. Unset means
+    /// dirty. Shared by `Arc`, so every copy-on-write image that keeps
+    /// this body reuses one allocation.
+    block_offsets: OnceLock<Arc<[u32]>>,
 }
 
 impl Clone for Function {
@@ -187,6 +195,7 @@ impl Clone for Function {
             // A clone of a verified body is still verified.
             verified_ok: AtomicU32::new(self.verified_ok.load(Ordering::Relaxed)),
             cached_bytes: AtomicU64::new(self.cached_bytes.load(Ordering::Relaxed)),
+            block_offsets: self.block_offsets.clone(),
         }
     }
 }
@@ -217,17 +226,20 @@ impl Function {
             blocks: Vec::new(),
             verified_ok: AtomicU32::new(0),
             cached_bytes: AtomicU64::new(u64::MAX),
+            block_offsets: OnceLock::new(),
         };
         f.set_blocks(blocks);
         f
     }
 
-    /// Drops both memoized analyses. Called by every `&mut self` accessor
-    /// that can change what the verifier or the size model would see.
+    /// Drops every memoized analysis. Called by every `&mut self` accessor
+    /// that can change what the verifier, the size model or the layout
+    /// would see.
     #[inline]
     fn invalidate(&mut self) {
         *self.verified_ok.get_mut() = 0;
         *self.cached_bytes.get_mut() = u64::MAX;
+        self.block_offsets.take();
     }
 
     /// True when this body verified clean against a module of `nfuncs`
@@ -257,6 +269,18 @@ impl Function {
         if bytes != u64::MAX {
             self.cached_bytes.store(bytes, Ordering::Relaxed);
         }
+    }
+
+    /// The memoized block byte offsets, computing them with `compute` when
+    /// cold.
+    pub(crate) fn block_offsets_with(&self, compute: impl FnOnce() -> Arc<[u32]>) -> &Arc<[u32]> {
+        self.block_offsets.get_or_init(compute)
+    }
+
+    /// The memoized block byte offsets, if warm (memo tests only).
+    #[cfg(test)]
+    pub(crate) fn cached_block_offsets(&self) -> Option<&Arc<[u32]>> {
+        self.block_offsets.get()
     }
 
     /// The function's name.
@@ -654,6 +678,7 @@ impl Deserialize for Function {
             blocks: Vec::new(),
             verified_ok: AtomicU32::new(0),
             cached_bytes: AtomicU64::new(u64::MAX),
+            block_offsets: OnceLock::new(),
         };
         f.set_blocks(w.blocks);
         Ok(f)

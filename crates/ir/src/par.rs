@@ -119,7 +119,7 @@ pub fn default_threads() -> usize {
 /// expression, so single-threaded callers pay no pool overhead.
 ///
 /// # Panics
-/// Propagates a panic from `f`.
+/// Propagates a panic from `f`, with `f`'s panic payload.
 pub fn map_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -150,7 +150,9 @@ where
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("par worker panicked"))
+            // Re-raise a worker's panic with its own payload, so the
+            // caller sees which item failed rather than a generic message.
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect()
     })
     .expect("par scope");
@@ -177,6 +179,12 @@ mod tests {
             let want: Vec<usize> = (0..100).map(|i| i * i).collect();
             assert_eq!(got, want, "threads={threads}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "item 5 failed")]
+    fn a_worker_panic_keeps_its_message() {
+        map_indexed(8, 2, |i| assert!(i != 5, "item {i} failed"));
     }
 
     #[test]

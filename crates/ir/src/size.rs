@@ -12,6 +12,7 @@
 use crate::func::Function;
 use crate::ids::BlockId;
 use crate::inst::{Inst, OpKind, Terminator};
+use std::sync::Arc;
 
 /// LLVM's standard per-instruction cost on x86 (§5.2: "perhaps used as an
 /// approximation for the average binary instruction size").
@@ -123,14 +124,40 @@ fn block_bytes_of(b: crate::func::BlockRef<'_>) -> u32 {
     b.insts().iter().map(inst_bytes).sum::<u32>() + term_bytes(b.term())
 }
 
+/// The block byte offsets of `f` in block order: `num_blocks + 1` prefix
+/// sums, so block `b` spans `offsets[b]..offsets[b + 1]` and the last entry
+/// is the body's size.
+///
+/// Memoized on the function like [`function_bytes`]: a body shared by many
+/// copy-on-write images is walked once, and every [`Layout`] of those
+/// images holds the same `Arc`.
+pub fn block_offsets(f: &Function) -> Arc<[u32]> {
+    Arc::clone(f.block_offsets_with(|| block_offsets_uncached(f)))
+}
+
+fn block_offsets_uncached(f: &Function) -> Arc<[u32]> {
+    let mut offsets = Vec::with_capacity(f.num_blocks() + 1);
+    let mut off: u32 = 0;
+    offsets.push(off);
+    for (_, b) in f.iter_blocks() {
+        off += block_bytes_of(b);
+        offsets.push(off);
+    }
+    offsets.into()
+}
+
 /// A linear code layout for a module: every function gets a base address and
 /// every block an offset, so the simulator's i-cache can map executed code to
 /// cache lines. Functions are laid out in id order, 16-byte aligned, mirroring
 /// how a linker lays out sections.
-#[derive(Debug, Clone)]
+///
+/// Building one costs O(#functions): the block offsets come from each
+/// function's memo ([`block_offsets`]), so only bodies changed since they
+/// were last laid out are walked.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Layout {
     func_base: Vec<u64>,
-    block_span: Vec<Vec<(u32, u32)>>, // per function: (offset, bytes) per block
+    block_offsets: Vec<Arc<[u32]>>, // per function, see `block_offsets`
     total: u64,
 }
 
@@ -138,24 +165,18 @@ impl Layout {
     /// Computes the layout of `module`.
     pub fn of(module: &crate::Module) -> Self {
         let mut func_base = Vec::with_capacity(module.len());
-        let mut block_span = Vec::with_capacity(module.len());
+        let mut offsets = Vec::with_capacity(module.len());
         let mut cursor: u64 = 0;
         for f in module.functions() {
             cursor = (cursor + 15) & !15;
             func_base.push(cursor);
-            let mut spans = Vec::with_capacity(f.num_blocks());
-            let mut off: u32 = 0;
-            for (_, b) in f.iter_blocks() {
-                let bytes = block_bytes_of(b);
-                spans.push((off, bytes));
-                off += bytes;
-            }
-            cursor += u64::from(off);
-            block_span.push(spans);
+            let offs = block_offsets(f);
+            cursor += u64::from(offs[offs.len() - 1]);
+            offsets.push(offs);
         }
         Layout {
             func_base,
-            block_span,
+            block_offsets: offsets,
             total: cursor,
         }
     }
@@ -166,9 +187,16 @@ impl Layout {
     }
 
     /// Address range `(start, len_bytes)` of a block.
+    ///
+    /// The simulator asks on every block it enters, from another crate:
+    /// `#[inline]` keeps that a few loads.
+    #[inline]
     pub fn block_range(&self, f: crate::FuncId, b: BlockId) -> (u64, u32) {
-        let (off, len) = self.block_span[f.index()][b.index()];
-        (self.func_base[f.index()] + u64::from(off), len)
+        let offs = &self.block_offsets[f.index()][b.index()..b.index() + 2];
+        (
+            self.func_base[f.index()] + u64::from(offs[0]),
+            offs[1] - offs[0],
+        )
     }
 
     /// Total laid-out code bytes.
@@ -285,5 +313,190 @@ mod tests {
             after,
             before + u64::from(inst_bytes(&Inst::Op(OpKind::Load)))
         );
+    }
+
+    /// A module exercising every terminator kind and a direct call.
+    fn memo_module() -> Module {
+        use crate::inst::Cond;
+        let mut m = Module::new("m");
+        let mut leaf = FunctionBuilder::new("leaf", 1);
+        leaf.ops(OpKind::Alu, 2);
+        leaf.ret();
+        let leaf = m.add_function(leaf.build());
+        let mut b = FunctionBuilder::new("f", 0);
+        let (bb1, bb2, bb3) = (b.new_block(), b.new_block(), b.new_block());
+        b.ops(OpKind::Alu, 2);
+        b.call(SiteId::from_raw(0), leaf, 2);
+        b.op(OpKind::Load);
+        b.branch(Cond::Random { ptaken_milli: 500 }, bb1, bb2);
+        b.switch_to(bb1);
+        b.op(OpKind::Store);
+        b.switch(vec![1, 2], vec![bb2, bb3], 1, bb3, true);
+        b.switch_to(bb2);
+        b.ops(OpKind::Load, 3);
+        b.jump(bb3);
+        b.switch_to(bb3);
+        b.ret();
+        m.add_function(b.build());
+        m
+    }
+
+    /// The layout of `m` recomputed from scratch: every body is copied
+    /// out of the shared `Arc` and its memos dropped before laying out.
+    fn layout_from_scratch(m: &Module) -> Layout {
+        let mut cold = m.clone();
+        for id in cold.func_ids().collect::<Vec<_>>() {
+            cold.function_mut(id).attrs_mut();
+            assert!(cold.function(id).cached_block_offsets().is_none());
+        }
+        Layout::of(&cold)
+    }
+
+    /// Every mutating accessor drops the layout memo: after warming it and
+    /// mutating one body, the memoized layout equals a recomputation from
+    /// scratch (and moves whenever the mutation changed the body's bytes).
+    #[test]
+    fn layout_memo_is_invalidated_by_every_mutating_accessor() {
+        use crate::func::{Block, FnAttrs};
+        use crate::inst::Terminator;
+        let donor = memo_module().function(FuncId::from_raw(1)).clone();
+        let fence = Inst::Op(OpKind::Fence);
+        type Edit = Box<dyn Fn(&mut Function)>;
+        let edits: Vec<(&str, bool, Edit)> = vec![
+            (
+                "insert_inst",
+                true,
+                Box::new(move |f| f.insert_inst(BlockId::ENTRY, 0, fence.clone())),
+            ),
+            (
+                "remove_inst",
+                true,
+                Box::new(|f| {
+                    f.remove_inst(BlockId::ENTRY, 0);
+                }),
+            ),
+            (
+                "split_block",
+                true,
+                Box::new(|f| {
+                    let next = BlockId::from_raw(f.num_blocks() as u32);
+                    f.split_block(BlockId::ENTRY, 1, false, Terminator::Jump { target: next });
+                }),
+            ),
+            (
+                "split_block (dropping the call)",
+                true,
+                Box::new(|f| {
+                    let next = BlockId::from_raw(f.num_blocks() as u32);
+                    f.split_block(BlockId::ENTRY, 2, true, Terminator::Jump { target: next });
+                }),
+            ),
+            (
+                "splice_body",
+                true,
+                Box::new(move |f| {
+                    f.splice_body(&donor, BlockId::ENTRY);
+                }),
+            ),
+            (
+                "set_blocks",
+                true,
+                Box::new(|f| {
+                    let mut blocks = f.to_blocks();
+                    blocks.push(Block::new(vec![Inst::Op(OpKind::Alu)], Terminator::Return));
+                    f.set_blocks(blocks);
+                }),
+            ),
+            (
+                "append_block",
+                true,
+                Box::new(|f| {
+                    f.append_block(vec![Inst::Op(OpKind::Alu)], Terminator::Return);
+                }),
+            ),
+            (
+                "term_mut",
+                true,
+                Box::new(|f| *f.term_mut(BlockId::ENTRY) = Terminator::Return),
+            ),
+            (
+                "terms_mut",
+                true,
+                Box::new(|f| f.terms_mut().for_each(|t| *t = Terminator::Return)),
+            ),
+            (
+                "block_insts_mut",
+                true,
+                Box::new(|f| f.block_insts_mut(BlockId::ENTRY)[0] = Inst::Op(OpKind::Fence)),
+            ),
+            (
+                "insts_mut",
+                true,
+                Box::new(|f| f.insts_mut()[0] = Inst::Op(OpKind::Fence)),
+            ),
+            (
+                "attrs_mut",
+                false,
+                Box::new(|f| {
+                    *f.attrs_mut() = FnAttrs {
+                        noinline: true,
+                        ..FnAttrs::default()
+                    }
+                }),
+            ),
+            (
+                "set_frame_bytes",
+                false,
+                Box::new(|f| f.set_frame_bytes(4096)),
+            ),
+        ];
+        let f = FuncId::from_raw(1);
+        for (name, moves, edit) in edits {
+            let mut m = memo_module();
+            let before = Layout::of(&m);
+            assert!(
+                m.function(f).cached_block_offsets().is_some(),
+                "{name}: memo warm"
+            );
+            edit(m.function_mut(f));
+            assert!(
+                m.function(f).cached_block_offsets().is_none(),
+                "{name}: memo dropped"
+            );
+            let after = Layout::of(&m);
+            assert_eq!(after, layout_from_scratch(&m), "{name}: stale layout");
+            assert_eq!(after != before, moves, "{name}: layout moved = {moves}");
+        }
+    }
+
+    /// The memo survives `Clone`, is shared between modules that share an
+    /// `Arc<Function>`, and starts cold in a deserialized body.
+    #[test]
+    fn layout_memo_is_shared_and_starts_cold() {
+        let m = memo_module();
+        let f = FuncId::from_raw(1);
+        assert!(m.function(f).cached_block_offsets().is_none(), "built cold");
+        let first = Layout::of(&m);
+        assert_eq!(first, layout_from_scratch(&m));
+
+        let copy = m.function(f).clone();
+        assert!(Arc::ptr_eq(
+            copy.cached_block_offsets().expect("clone keeps the memo"),
+            &first.block_offsets[f.index()],
+        ));
+
+        let sibling = m.clone();
+        let second = Layout::of(&sibling);
+        for id in m.func_ids() {
+            assert!(Arc::ptr_eq(
+                &first.block_offsets[id.index()],
+                &second.block_offsets[id.index()],
+            ));
+        }
+
+        let json = serde_json::to_string(m.function(f)).expect("function serializes");
+        let back: Function = serde_json::from_str(&json).expect("function deserializes");
+        assert!(back.cached_block_offsets().is_none(), "deserialized cold");
+        assert_eq!(block_offsets(&back), first.block_offsets[f.index()]);
     }
 }

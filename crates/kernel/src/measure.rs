@@ -7,9 +7,9 @@
 
 use crate::gen::Kernel;
 use crate::workloads::{Benchmark, MacroBench, WorkloadSpec};
-use pibe_ir::Module;
+use pibe_ir::{par, Module};
 use pibe_profile::Profile;
-use pibe_sim::{AttackReport, ExecStats, SimConfig, SimError, Simulator};
+use pibe_sim::{AttackReport, ExecStats, MapResolver, SimConfig, SimError, Simulator};
 use serde::{Deserialize, Serialize};
 
 /// Simulated CPU frequency used to convert cycles to wall-clock analogues
@@ -116,6 +116,8 @@ pub fn run_throughput(
 /// configuration 11 times and collect\[s\] all edge execution counts observed
 /// across all 11 iterations" (§8).
 ///
+/// The merge of [`collect_profile_rounds`] in round order.
+///
 /// # Errors
 /// Propagates simulator failures (see [`SimError`]).
 pub fn collect_profile(
@@ -125,23 +127,34 @@ pub fn collect_profile(
     rounds: u32,
     seed: u64,
 ) -> Result<Profile, SimError> {
-    let mut merged = Profile::new();
-    for round in 0..rounds {
-        let resolver = workload.resolver(kernel);
-        let cfg = SimConfig {
-            collect_profile: true,
-            ..SimConfig::default()
-        };
-        let mut sim = Simulator::new(&kernel.module, resolver, seed ^ u64::from(round), cfg);
+    collect_profile_rounds(kernel, workload, suite, rounds, seed).map(|p| merge_rounds(&p))
+}
+
+/// The per-round profiles [`collect_profile`] merges, in round order:
+/// round `r` runs the whole `suite` once on a fresh simulator seeded with
+/// `seed ^ r`. A merge of the first `n` of them equals
+/// `collect_profile(.., n, seed)`, so a convergence sweep over several
+/// round counts needs only the largest.
+///
+/// # Errors
+/// Propagates simulator failures (see [`SimError`]); the earliest failing
+/// round's error wins.
+pub fn collect_profile_rounds(
+    kernel: &Kernel,
+    workload: &WorkloadSpec,
+    suite: &[Benchmark],
+    rounds: u32,
+    seed: u64,
+) -> Result<Vec<Profile>, SimError> {
+    profile_rounds(kernel, workload, rounds, seed, |sim| {
         for b in suite {
             let entry = kernel.entry(b.syscall);
             for _ in 0..b.warmup + b.iterations {
                 sim.call_entry(entry)?;
             }
         }
-        merged.merge(&sim.take_profile());
-    }
-    Ok(merged)
+        Ok(())
+    })
 }
 
 /// Collects a profile of a macro workload (used to train the Apache-profile
@@ -156,14 +169,7 @@ pub fn collect_macro_profile(
     rounds: u32,
     seed: u64,
 ) -> Result<Profile, SimError> {
-    let mut merged = Profile::new();
-    for round in 0..rounds {
-        let resolver = workload.resolver(kernel);
-        let cfg = SimConfig {
-            collect_profile: true,
-            ..SimConfig::default()
-        };
-        let mut sim = Simulator::new(&kernel.module, resolver, seed ^ u64::from(round), cfg);
+    let rounds = profile_rounds(kernel, workload, rounds, seed, |sim| {
         for _ in 0..bench.requests {
             for (sc, n) in &bench.request {
                 let entry = kernel.entry(*sc);
@@ -172,9 +178,43 @@ pub fn collect_macro_profile(
                 }
             }
         }
-        merged.merge(&sim.take_profile());
+        Ok(())
+    })?;
+    Ok(merge_rounds(&rounds))
+}
+
+/// Runs `rounds` independent profiling rounds of `run` on the bounded
+/// worker pool (`PIBE_BUILD_THREADS` wide) and returns their profiles in
+/// round order. Round `r` gets a fresh simulator seeded with `seed ^ r`,
+/// so the result does not depend on the thread count.
+fn profile_rounds(
+    kernel: &Kernel,
+    workload: &WorkloadSpec,
+    rounds: u32,
+    seed: u64,
+    run: impl Fn(&mut Simulator<'_, MapResolver>) -> Result<(), SimError> + Sync,
+) -> Result<Vec<Profile>, SimError> {
+    par::map_indexed(rounds as usize, par::default_threads(), |round| {
+        let cfg = SimConfig {
+            collect_profile: true,
+            ..SimConfig::default()
+        };
+        let resolver = workload.resolver(kernel);
+        let mut sim = Simulator::new(&kernel.module, resolver, seed ^ round as u64, cfg);
+        run(&mut sim)?;
+        Ok(sim.take_profile())
+    })
+    .into_iter()
+    .collect()
+}
+
+/// Merges per-round profiles in round order into a fresh profile.
+fn merge_rounds(rounds: &[Profile]) -> Profile {
+    let mut merged = Profile::new();
+    for p in rounds {
+        merged.merge(p);
     }
-    Ok(merged)
+    merged
 }
 
 #[cfg(test)]
@@ -278,5 +318,63 @@ mod tests {
         let p1 = collect_profile(&k, &wl, &suite, 1, 7).unwrap();
         let p2 = collect_profile(&k, &wl, &suite, 2, 7).unwrap();
         assert!(p2.stats().direct_weight > p1.stats().direct_weight);
+    }
+
+    /// The sequential reference the pooled round runner must reproduce:
+    /// round `r` on a fresh profiling simulator seeded `seed ^ r`, merged
+    /// into an empty profile in round order.
+    fn sequential_rounds(
+        k: &Kernel,
+        wl: &WorkloadSpec,
+        rounds: u32,
+        seed: u64,
+        run: impl Fn(&mut Simulator<'_, MapResolver>),
+    ) -> Profile {
+        let mut merged = Profile::new();
+        for round in 0..rounds {
+            let cfg = SimConfig {
+                collect_profile: true,
+                ..SimConfig::default()
+            };
+            let mut sim = Simulator::new(&k.module, wl.resolver(k), seed ^ u64::from(round), cfg);
+            run(&mut sim);
+            merged.merge(&sim.take_profile());
+        }
+        merged
+    }
+
+    #[test]
+    fn pooled_profile_equals_round_by_round_merge() {
+        let k = kernel();
+        let wl = WorkloadSpec::lmbench();
+        let suite = lmbench_suite(3);
+        let want = sequential_rounds(&k, &wl, 3, 7, |sim| {
+            for b in &suite {
+                for _ in 0..b.warmup + b.iterations {
+                    sim.call_entry(k.entry(b.syscall)).unwrap();
+                }
+            }
+        });
+        assert_eq!(collect_profile(&k, &wl, &suite, 3, 7).unwrap(), want);
+        let rounds = collect_profile_rounds(&k, &wl, &suite, 3, 7).unwrap();
+        assert_eq!(rounds.len(), 3);
+        assert_eq!(merge_rounds(&rounds), want);
+    }
+
+    #[test]
+    fn pooled_macro_profile_equals_round_by_round_merge() {
+        let k = kernel();
+        let wl = WorkloadSpec::nginx();
+        let mb = MacroBench::nginx(4);
+        let want = sequential_rounds(&k, &wl, 3, 7, |sim| {
+            for _ in 0..mb.requests {
+                for (sc, n) in &mb.request {
+                    for _ in 0..*n {
+                        sim.call_entry(k.entry(*sc)).unwrap();
+                    }
+                }
+            }
+        });
+        assert_eq!(collect_macro_profile(&k, &wl, &mb, 3, 7).unwrap(), want);
     }
 }
