@@ -4,13 +4,20 @@
 //! The module being measured is passed in explicitly (not taken from the
 //! [`Kernel`]) because the pipeline measures *transformed* copies of the
 //! kernel — optimized and hardened images — against the same workloads.
+//!
+//! With tracing on, every simulated run — one latency benchmark, one
+//! macro-benchmark, one profiling round — records a span named
+//! `sim.<kind>.<benchmark>` and a `sim.insts` counter sample of the
+//! instructions it executed. With tracing off, a run pays one relaxed load.
 
 use crate::gen::Kernel;
 use crate::workloads::{Benchmark, MacroBench, WorkloadSpec};
 use pibe_ir::{par, Module};
 use pibe_profile::Profile;
 use pibe_sim::{AttackReport, ExecStats, MapResolver, SimConfig, SimError, Simulator};
+use pibe_trace::SpanGuard;
 use serde::{Deserialize, Serialize};
+use std::fmt::Display;
 
 /// Simulated CPU frequency used to convert cycles to wall-clock analogues
 /// (the paper's testbed is a 3.7 GHz i7-8700K; LMBench reports µs).
@@ -48,6 +55,7 @@ pub fn run_latency(
     cfg: SimConfig,
     seed: u64,
 ) -> Result<(LatencyResult, ExecStats, AttackReport), SimError> {
+    let span = run_span("latency", bench.syscall);
     let resolver = workload.resolver(kernel);
     let mut sim = Simulator::new(module, resolver, seed, cfg);
     let entry = kernel.entry(bench.syscall);
@@ -59,6 +67,7 @@ pub fn run_latency(
         total += sim.call_entry(entry)?;
     }
     let cycles_per_iter = total as f64 / f64::from(bench.iterations.max(1));
+    count_insts(&span, sim.stats());
     Ok((
         LatencyResult {
             cycles_per_iter,
@@ -82,6 +91,7 @@ pub fn run_throughput(
     cfg: SimConfig,
     seed: u64,
 ) -> Result<(ThroughputResult, ExecStats), SimError> {
+    let span = run_span("throughput", &bench.name);
     let resolver = workload.resolver(kernel);
     let mut sim = Simulator::new(module, resolver, seed, cfg);
     let run_request = |sim: &mut Simulator<'_, _>| -> Result<u64, SimError> {
@@ -102,6 +112,7 @@ pub fn run_throughput(
         total += run_request(&mut sim)?;
     }
     let cycles_per_request = total as f64 / f64::from(bench.requests.max(1));
+    count_insts(&span, sim.stats());
     Ok((
         ThroughputResult {
             cycles_per_request,
@@ -146,7 +157,7 @@ pub fn collect_profile_rounds(
     rounds: u32,
     seed: u64,
 ) -> Result<Vec<Profile>, SimError> {
-    profile_rounds(kernel, workload, rounds, seed, |sim| {
+    profile_rounds(kernel, workload, "lmbench", rounds, seed, |sim| {
         for b in suite {
             let entry = kernel.entry(b.syscall);
             for _ in 0..b.warmup + b.iterations {
@@ -169,7 +180,7 @@ pub fn collect_macro_profile(
     rounds: u32,
     seed: u64,
 ) -> Result<Profile, SimError> {
-    let rounds = profile_rounds(kernel, workload, rounds, seed, |sim| {
+    let rounds = profile_rounds(kernel, workload, &bench.name, rounds, seed, |sim| {
         for _ in 0..bench.requests {
             for (sc, n) in &bench.request {
                 let entry = kernel.entry(*sc);
@@ -186,15 +197,18 @@ pub fn collect_macro_profile(
 /// Runs `rounds` independent profiling rounds of `run` on the bounded
 /// worker pool (`PIBE_BUILD_THREADS` wide) and returns their profiles in
 /// round order. Round `r` gets a fresh simulator seeded with `seed ^ r`,
-/// so the result does not depend on the thread count.
+/// so the result does not depend on the thread count. Each round's span
+/// is `sim.profile.<bench>`.
 fn profile_rounds(
     kernel: &Kernel,
     workload: &WorkloadSpec,
+    bench: &str,
     rounds: u32,
     seed: u64,
     run: impl Fn(&mut Simulator<'_, MapResolver>) -> Result<(), SimError> + Sync,
 ) -> Result<Vec<Profile>, SimError> {
     par::map_indexed(rounds as usize, par::default_threads(), |round| {
+        let span = run_span("profile", bench);
         let cfg = SimConfig {
             collect_profile: true,
             ..SimConfig::default()
@@ -202,10 +216,25 @@ fn profile_rounds(
         let resolver = workload.resolver(kernel);
         let mut sim = Simulator::new(&kernel.module, resolver, seed ^ round as u64, cfg);
         run(&mut sim)?;
+        count_insts(&span, sim.stats());
         Ok(sim.take_profile())
     })
     .into_iter()
     .collect()
+}
+
+/// Opens the span of one simulated run, `sim.<kind>.<bench>`, when tracing
+/// is on. Off, this is the run's one relaxed load: no name is built.
+fn run_span(kind: &str, bench: impl Display) -> Option<SpanGuard> {
+    pibe_trace::enabled().then(|| pibe_trace::span(format!("sim.{kind}.{bench}")))
+}
+
+/// Records the instructions a traced run executed as a `sim.insts`
+/// counter sample; untraced runs (`span` is `None`) record nothing.
+fn count_insts(span: &Option<SpanGuard>, stats: &ExecStats) {
+    if span.is_some() {
+        pibe_trace::counter("sim.insts", stats.insts);
+    }
 }
 
 /// Merges per-round profiles in round order into a fresh profile.

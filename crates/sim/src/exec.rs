@@ -4,7 +4,7 @@ use crate::attack::AttackReport;
 use crate::machine::{Btb, ICache, MachineConfig, Rsb};
 use pibe_harden::{costs, Arch, DefenseSet};
 use pibe_ir::size::Layout;
-use pibe_ir::{BlockId, Cond, FuncId, Inst, Module, OpKind, SiteId, Terminator};
+use pibe_ir::{BlockId, BlockRef, Cond, FuncId, Inst, Module, OpKind, SiteId, Terminator};
 use pibe_profile::Profile;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -302,18 +302,45 @@ impl ExecStats {
     }
 }
 
-struct Frame {
+/// One activation record. `code` borrows the current block from the
+/// module, so a step never re-walks module → function → block.
+struct Frame<'m> {
     func: FuncId,
     block: BlockId,
+    code: BlockRef<'m>,
     idx: usize,
+    /// Index into [`Simulator::block_runs`] of the function's first block.
+    blocks: usize,
+    /// Index into [`Simulator::runs`] of the current block's first
+    /// instruction.
+    runs: usize,
     pending: Vec<(SiteId, FuncId)>,
     token: u64,
     frame_bytes: u64,
 }
 
-impl fmt::Debug for Frame {
+impl fmt::Debug for Frame<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Frame({} {} idx={})", self.func, self.block, self.idx)
+    }
+}
+
+/// The straight-line op run starting at one instruction: how many
+/// consecutive `Inst::Op`s follow (0 when the instruction is not an op)
+/// and their summed cycles. Runs end at the block's last op, so the run at
+/// `i + k` is the suffix of the run at `i`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Run {
+    len: u32,
+    cycles: u64,
+}
+
+/// Cycles of one compute op.
+fn op_cycles(m: &MachineConfig, kind: OpKind) -> u64 {
+    match kind {
+        OpKind::Load => m.cycles_load,
+        OpKind::Fence => m.cycles_fence,
+        _ => m.cycles_simple,
     }
 }
 
@@ -329,8 +356,13 @@ pub struct Simulator<'m, R> {
     btb: Btb,
     rsb: Rsb,
     icache: ICache,
-    frames: Vec<Frame>,
-    steps: u64,
+    frames: Vec<Frame<'m>>,
+    /// Per function: its first entry in `block_runs`, once decoded.
+    decoded: Vec<Option<usize>>,
+    /// Per decoded block: its first instruction's entry in `runs`.
+    block_runs: Vec<usize>,
+    /// Per decoded instruction: the op run starting there.
+    runs: Vec<Run>,
     next_token: u64,
     cur_stack: u64,
     stats: ExecStats,
@@ -348,7 +380,7 @@ impl<R> fmt::Debug for Simulator<'_, R> {
             "Simulator(module={}, cycles={}, steps={})",
             self.module.name(),
             self.stats.cycles,
-            self.steps
+            self.stats.insts
         )
     }
 }
@@ -373,7 +405,9 @@ impl<'m, R: TargetResolver> Simulator<'m, R> {
                 m.l2_ways,
             ),
             frames: Vec::new(),
-            steps: 0,
+            decoded: vec![None; module.len()],
+            block_runs: Vec::new(),
+            runs: Vec::new(),
             next_token: 1,
             cur_stack: 0,
             stats: ExecStats::default(),
@@ -468,6 +502,7 @@ impl<'m, R: TargetResolver> Simulator<'m, R> {
         if self.frames.len() >= self.cfg.max_depth {
             return Err(SimError::StackOverflow(self.cfg.max_depth));
         }
+        let blocks = self.decode(func);
         let f = self.module.function(func);
         let token = self.next_token;
         self.next_token += 1;
@@ -480,12 +515,43 @@ impl<'m, R: TargetResolver> Simulator<'m, R> {
         self.frames.push(Frame {
             func,
             block: BlockId::ENTRY,
+            code: f.block(BlockId::ENTRY),
             idx: 0,
+            blocks,
+            runs: self.block_runs[blocks],
             pending: Vec::new(),
             token,
             frame_bytes,
         });
         Ok(())
+    }
+
+    /// Decodes `func`'s op runs on its first entry (cycles from this
+    /// simulator's machine) and returns its first entry in `block_runs`.
+    fn decode(&mut self, func: FuncId) -> usize {
+        if let Some(blocks) = self.decoded[func.index()] {
+            return blocks;
+        }
+        let m = self.cfg.machine;
+        let first = self.block_runs.len();
+        for (_, block) in self.module.function(func).iter_blocks() {
+            let base = self.runs.len();
+            self.block_runs.push(base);
+            self.runs.resize(base + block.len(), Run::default());
+            let mut next = Run::default();
+            for (i, inst) in block.insts().iter().enumerate().rev() {
+                next = match inst {
+                    Inst::Op(kind) => Run {
+                        len: next.len + 1,
+                        cycles: next.cycles + op_cycles(&m, *kind),
+                    },
+                    _ => Run::default(),
+                };
+                self.runs[base + i] = next;
+            }
+        }
+        self.decoded[func.index()] = Some(first);
+        first
     }
 
     fn enter_block(&mut self) {
@@ -501,42 +567,68 @@ impl<'m, R: TargetResolver> Simulator<'m, R> {
     }
 
     fn bump_step(&mut self) -> Result<(), SimError> {
-        self.steps += 1;
         self.stats.insts += 1;
-        if self.steps > self.cfg.max_steps {
+        if self.stats.insts > self.cfg.max_steps {
             return Err(SimError::StepLimit(self.cfg.max_steps));
         }
         Ok(())
     }
 
+    /// Executes the current instruction — or, at the start of an op run,
+    /// the whole run — of the innermost frame.
     fn step(&mut self) -> Result<(), SimError> {
-        self.bump_step()?;
-        let frame = self.frames.last().expect("step with empty stack");
-        let func = self.module.function(frame.func);
-        let block = func.block(frame.block);
-        if frame.idx < block.insts().len() {
-            let inst = block.insts()[frame.idx].clone();
-            self.frames.last_mut().expect("frame").idx += 1;
-            self.exec_inst(inst)
-        } else {
-            let term = block.term().clone();
-            self.exec_term(term)
+        let frame = self.frames.last_mut().expect("step with empty stack");
+        let code = frame.code;
+        let Some(inst) = code.insts().get(frame.idx) else {
+            self.bump_step()?;
+            return self.exec_term(code.term());
+        };
+        let run = self.runs[frame.runs + frame.idx];
+        if run.len > 0 {
+            return self.exec_run(run);
         }
+        frame.idx += 1;
+        self.bump_step()?;
+        self.exec_inst(inst)
     }
 
-    fn exec_inst(&mut self, inst: Inst) -> Result<(), SimError> {
+    /// Executes the op run starting at the current instruction with one
+    /// add per counter. Near `max_steps` the run is clamped to the
+    /// remaining budget, leaving the op that overruns it to
+    /// [`bump_step`](Self::bump_step): the `StepLimit` error and the stats
+    /// it leaves are those of stepping every op singly.
+    fn exec_run(&mut self, run: Run) -> Result<(), SimError> {
+        let budget = self.cfg.max_steps.saturating_sub(self.stats.insts);
+        if budget == 0 {
+            return self.bump_step();
+        }
+        let frame = self.frames.last_mut().expect("frame");
+        let start = frame.idx;
+        let (len, cycles) = if u64::from(run.len) <= budget {
+            (run.len as usize, run.cycles)
+        } else {
+            // The run at `start + len` is the suffix the clamp leaves out.
+            let len = budget as usize;
+            (len, run.cycles - self.runs[frame.runs + start + len].cycles)
+        };
+        frame.idx += len;
+        if self.cfg.collect_trace {
+            let ops = &frame.code.insts()[start..start + len];
+            self.trace.extend(ops.iter().map(|inst| match inst {
+                Inst::Op(kind) => TraceEvent::Op(*kind),
+                _ => unreachable!("a run holds only ops"),
+            }));
+        }
+        self.stats.insts += len as u64;
+        self.stats.ops += len as u64;
+        self.stats.cycles += cycles;
+        Ok(())
+    }
+
+    fn exec_inst(&mut self, inst: &'m Inst) -> Result<(), SimError> {
         let m = self.cfg.machine;
-        match inst {
-            Inst::Op(kind) => {
-                self.record(TraceEvent::Op(kind));
-                self.stats.ops += 1;
-                self.stats.cycles += match kind {
-                    OpKind::Load => m.cycles_load,
-                    OpKind::Fence => m.cycles_fence,
-                    _ => m.cycles_simple,
-                };
-                Ok(())
-            }
+        match *inst {
+            Inst::Op(_) => unreachable!("ops execute as decoded runs"),
             Inst::ResolveTarget { site } => {
                 // Part of a promotion guard chain: instrumentation cost.
                 self.stats.cycles += m.cycles_simple;
@@ -717,9 +809,9 @@ impl<'m, R: TargetResolver> Simulator<'m, R> {
         Ok(())
     }
 
-    fn exec_term(&mut self, term: Terminator) -> Result<(), SimError> {
+    fn exec_term(&mut self, term: &'m Terminator) -> Result<(), SimError> {
         let m = self.cfg.machine;
-        match term {
+        match *term {
             Terminator::Jump { target } => {
                 self.stats.cycles += m.cycles_branch;
                 self.goto(target);
@@ -750,13 +842,13 @@ impl<'m, R: TargetResolver> Simulator<'m, R> {
                 Ok(())
             }
             Terminator::Switch {
-                weights,
-                cases,
+                ref weights,
+                ref cases,
                 default_weight,
                 default,
                 via_table,
             } => {
-                let choice = self.pick_case(&weights, default_weight);
+                let choice = self.pick_case(weights, default_weight);
                 let (dest, matched_idx) = match choice {
                     Some(i) => (cases[i], i),
                     None => (default, cases.len()),
@@ -851,7 +943,9 @@ impl<'m, R: TargetResolver> Simulator<'m, R> {
     fn goto(&mut self, target: BlockId) {
         let frame = self.frames.last_mut().expect("goto with empty stack");
         frame.block = target;
+        frame.code = self.module.function(frame.func).block(target);
         frame.idx = 0;
+        frame.runs = self.block_runs[frame.blocks + target.index()];
         self.enter_block();
     }
 }
@@ -1104,6 +1198,152 @@ mod tests {
         };
         let mut sim = Simulator::new(&m, FixedResolver(f), 7, cfg);
         assert_eq!(sim.call_entry(f), Err(SimError::StepLimit(1000)));
+    }
+
+    /// `root() { load; alu; call leaf; alu; fence; alu; ret }` with
+    /// `leaf() { alu; ret }`: two op runs in `root`, the second starting
+    /// after a call returns.
+    fn two_run_module() -> (Module, FuncId) {
+        let mut m = Module::new("m");
+        let mut b = FunctionBuilder::new("leaf", 0);
+        b.op(OpKind::Alu);
+        b.ret();
+        let leaf = m.add_function(b.build());
+        let site = m.fresh_site();
+        let mut b = FunctionBuilder::new("root", 0);
+        b.op(OpKind::Load);
+        b.op(OpKind::Alu);
+        b.call(site, leaf, 0);
+        b.op(OpKind::Alu);
+        b.op(OpKind::Fence);
+        b.op(OpKind::Alu);
+        b.ret();
+        let root = m.add_function(b.build());
+        m.verify().unwrap();
+        (m, root)
+    }
+
+    #[test]
+    fn step_limit_inside_a_run_stops_on_the_same_instruction() {
+        // Program order: load(3) alu(1) call(3) | alu(1) ret(2) | alu(1)
+        // fence(10) alu(1) ret(2). Per limit n: the ops run before the
+        // (n+1)-th instruction is refused, and their cycles without the
+        // i-cache penalties.
+        let (m, root) = two_run_module();
+        for (limit, ops, cycles) in [
+            (0, 0, 0),
+            (1, 1, 3),
+            (2, 2, 4),
+            (3, 2, 7),
+            (4, 3, 8),
+            (5, 3, 10),
+            (6, 4, 11),
+            (7, 5, 21),
+            (8, 6, 22),
+        ] {
+            let cfg = SimConfig {
+                max_steps: limit,
+                ..SimConfig::default()
+            };
+            let mut sim = Simulator::new(&m, FixedResolver(root), 7, cfg);
+            assert_eq!(sim.call_entry(root), Err(SimError::StepLimit(limit)));
+            let st = *sim.stats();
+            assert_eq!(st.insts, limit + 1, "limit {limit}");
+            assert_eq!(st.ops, ops, "limit {limit}");
+            assert_eq!(st.cycles - st.cycles_locality, cycles, "limit {limit}");
+            // A later invocation is refused on its first instruction.
+            assert_eq!(sim.call_entry(root), Err(SimError::StepLimit(limit)));
+            assert_eq!(sim.stats().insts, limit + 2);
+            assert_eq!(sim.stats().ops, ops);
+        }
+        // One more step completes the program: nine instructions.
+        let cfg = SimConfig {
+            max_steps: 9,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(&m, FixedResolver(root), 7, cfg);
+        assert!(sim.call_entry(root).is_ok());
+        let st = *sim.stats();
+        assert_eq!((st.insts, st.ops), (9, 6));
+        assert_eq!(st.cycles - st.cycles_locality, 24);
+    }
+
+    #[test]
+    fn unknown_target_after_a_run_keeps_the_run_charged() {
+        // root() { alu; load; fence; icall s; ret } with no target for s.
+        let mut m = Module::new("m");
+        let s = m.fresh_site();
+        let mut b = FunctionBuilder::new("root", 0);
+        b.op(OpKind::Alu);
+        b.op(OpKind::Load);
+        b.op(OpKind::Fence);
+        b.call_indirect(s, 0);
+        b.ret();
+        let root = m.add_function(b.build());
+        m.verify().unwrap();
+        let mut sim = Simulator::new(&m, MapResolver::new(), 7, SimConfig::default());
+        assert_eq!(sim.call_entry(root), Err(SimError::UnknownTarget(s)));
+        let st = *sim.stats();
+        assert_eq!((st.insts, st.ops, st.icalls), (4, 3, 1));
+        assert_eq!(st.cycles - st.cycles_locality, 1 + 3 + 10);
+        assert_eq!(
+            st.cycles_locality,
+            10 * st.icache_misses + 30 * st.l2_misses
+        );
+    }
+
+    #[test]
+    fn trace_collection_changes_no_stats_and_lists_every_op() {
+        let (m, root) = two_run_module();
+        let run = |collect_trace: bool, max_steps: u64| {
+            let cfg = SimConfig {
+                collect_trace,
+                max_steps,
+                ..SimConfig::default()
+            };
+            let mut sim = Simulator::new(&m, FixedResolver(root), 7, cfg);
+            let outcomes: Vec<_> = (0..3).map(|_| sim.call_entry(root)).collect();
+            (outcomes, *sim.stats(), sim.take_trace())
+        };
+        for max_steps in [u64::MAX, 13] {
+            let (on_outcomes, on, trace) = run(true, max_steps);
+            let (off_outcomes, off, empty) = run(false, max_steps);
+            assert_eq!(on_outcomes, off_outcomes);
+            assert_eq!(on, off, "collect_trace must not change the stats");
+            assert!(empty.is_empty());
+            let ops: Vec<OpKind> = trace
+                .iter()
+                .filter_map(|ev| match ev {
+                    TraceEvent::Op(kind) => Some(*kind),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(ops.len() as u64, on.ops);
+            let once = [
+                OpKind::Load,
+                OpKind::Alu,
+                OpKind::Alu,
+                OpKind::Alu,
+                OpKind::Fence,
+                OpKind::Alu,
+            ];
+            let want: Vec<OpKind> = once.iter().copied().cycle().take(ops.len()).collect();
+            assert_eq!(ops, want, "ops in program order under limit {max_steps}");
+        }
+        // The leaf's op sits between the call and its return.
+        let (_, _, trace) = run(true, u64::MAX);
+        let leaf = m.find_function("leaf").unwrap();
+        assert_eq!(
+            trace[..6],
+            [
+                TraceEvent::Op(OpKind::Load),
+                TraceEvent::Op(OpKind::Alu),
+                TraceEvent::Enter(leaf),
+                TraceEvent::Op(OpKind::Alu),
+                TraceEvent::Return(leaf),
+                TraceEvent::Op(OpKind::Alu),
+            ]
+        );
     }
 
     #[test]

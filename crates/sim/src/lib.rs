@@ -30,6 +30,10 @@
 //! Determinism: all randomness comes from one seeded [`rand::rngs::SmallRng`];
 //! identical inputs produce identical cycle counts, bit for bit.
 //!
+//! Speed: each simulator decodes a function on its first entry into the
+//! straight-line op runs of its blocks, and charges a whole run per step.
+//! Every counter, trace and error is the one stepping op by op would give.
+//!
 //! ## Example
 //!
 //! ```

@@ -159,6 +159,8 @@ struct CacheLevel {
     ways: usize,
     set_mask: u64,
     clock: u64,
+    /// Tag of the most recently touched line (0 before the first touch).
+    mru: u64,
 }
 
 impl CacheLevel {
@@ -170,12 +172,20 @@ impl CacheLevel {
             ways,
             set_mask: sets as u64 - 1,
             clock: 0,
+            mru: 0,
         }
     }
 
     fn touch_line(&mut self, line: u64) -> bool {
-        self.clock += 1;
         let tag = line + 1; // avoid the empty sentinel 0
+        if tag == self.mru {
+            // Re-touching the most recent line: it is resident and already
+            // holds the highest stamp, so neither the LRU order nor any
+            // later victim changes.
+            return true;
+        }
+        self.mru = tag;
+        self.clock += 1;
         let set = (line & self.set_mask) as usize;
         let base = set * self.ways;
         let ways = &mut self.sets[base..base + self.ways];
@@ -312,6 +322,76 @@ mod tests {
     fn icache_zero_length_accesses_nothing() {
         let mut ic = ICache::new(1024, 64, 2, 8192, 4);
         assert_eq!(ic.access(128, 0), (0, 0));
+    }
+
+    /// A textbook LRU level: per set, resident lines from least to most
+    /// recently used.
+    struct ReferenceLevel {
+        sets: Vec<Vec<u64>>,
+        ways: usize,
+    }
+
+    impl ReferenceLevel {
+        fn new(bytes: usize, line: usize, ways: usize) -> Self {
+            ReferenceLevel {
+                sets: vec![Vec::new(); bytes / (line * ways)],
+                ways,
+            }
+        }
+
+        fn touch(&mut self, line: u64) -> bool {
+            let (n, ways) = (self.sets.len(), self.ways);
+            let set = &mut self.sets[line as usize % n];
+            let hit = match set.iter().position(|l| *l == line) {
+                Some(i) => {
+                    set.remove(i);
+                    true
+                }
+                None => {
+                    if set.len() == ways {
+                        set.remove(0);
+                    }
+                    false
+                }
+            };
+            set.push(line);
+            hit
+        }
+    }
+
+    #[test]
+    fn icache_matches_a_reference_lru() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        // L1: 8 sets x 2 ways; L2: 16 sets x 4 ways; 64-byte lines.
+        let mut ic = ICache::new(1024, 64, 2, 4096, 4);
+        let mut l1 = ReferenceLevel::new(1024, 64, 2);
+        let mut l2 = ReferenceLevel::new(4096, 64, 4);
+        let mut rng = SmallRng::seed_from_u64(0x1CAC4E);
+        let mut line = 0u64;
+        for _ in 0..20_000 {
+            // Back-to-back repeats, neighbours in the same L1 set, and
+            // jumps across a footprint twice the L2.
+            line = match rng.gen_range(0..4) {
+                0 => line,
+                1 => line + 8 * rng.gen_range(1..4),
+                2 => line.saturating_sub(8),
+                _ => rng.gen_range(0..128),
+            };
+            let lines = rng.gen_range(1..4u64);
+            let offset = rng.gen_range(0..64);
+            let len = (lines * 64 - offset) as u32;
+            let mut want = (0, 0);
+            for l in line..line + lines {
+                if !l1.touch(l) {
+                    want.0 += 1;
+                    if !l2.touch(l) {
+                        want.1 += 1;
+                    }
+                }
+            }
+            assert_eq!(ic.access(line * 64 + offset, len), want);
+        }
     }
 
     #[test]

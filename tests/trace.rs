@@ -5,10 +5,11 @@
 
 use pibe::{Image, ImageFarm, PibeConfig};
 use pibe_harden::DefenseSet;
-use pibe_kernel::measure::collect_profile;
-use pibe_kernel::workloads::{lmbench_suite, WorkloadSpec};
-use pibe_kernel::{Kernel, KernelSpec};
+use pibe_kernel::measure::{collect_profile, run_latency, run_throughput};
+use pibe_kernel::workloads::{lmbench_suite, Benchmark, MacroBench, WorkloadSpec};
+use pibe_kernel::{Kernel, KernelSpec, Syscall};
 use pibe_profile::{Budget, Profile};
+use pibe_sim::SimConfig;
 use serde_json::Value;
 use std::sync::Mutex;
 
@@ -195,18 +196,75 @@ fn num_field(v: &Value, key: &str) -> f64 {
     }
 }
 
-/// Tracing off is the default: a build with `PIBE_TRACE` unset records
-/// nothing at all.
+/// Tracing off is the default: a build and a measurement with
+/// `PIBE_TRACE` unset record nothing at all.
 #[test]
 fn disabled_tracing_records_nothing() {
     let _g = lock();
     pibe_trace::set_enabled(false);
     let _ = pibe_trace::take();
     let (kernel, profile) = lab();
-    Image::builder(&kernel.module)
+    let image = Image::builder(&kernel.module)
         .profile(&profile)
         .config(PibeConfig::pibe_baseline())
         .build()
         .expect("build succeeds");
+    let bench = Benchmark {
+        syscall: Syscall::Read,
+        iterations: 4,
+        warmup: 1,
+    };
+    let wl = WorkloadSpec::lmbench();
+    run_latency(&image.module, &kernel, &wl, bench, SimConfig::default(), 7)
+        .expect("measurement succeeds");
     assert!(pibe_trace::take().is_empty());
+}
+
+/// Every traced simulated run records a span named by its kind and
+/// benchmark, and a `sim.insts` counter sample of the instructions it
+/// executed.
+#[test]
+fn simulated_runs_record_named_spans_and_instruction_counts() {
+    let _g = lock();
+    let kernel = Kernel::generate(KernelSpec::test());
+    let wl = WorkloadSpec::lmbench();
+    let bench = Benchmark {
+        syscall: Syscall::Read,
+        iterations: 4,
+        warmup: 1,
+    };
+    let nginx = MacroBench::nginx(3);
+    pibe_trace::set_enabled(true);
+    pibe_trace::set_track_name("test");
+    let _ = pibe_trace::take();
+    let cfg = SimConfig::default();
+    let (_, latency, _) =
+        run_latency(&kernel.module, &kernel, &wl, bench, cfg, 7).expect("latency run");
+    let (_, throughput) = run_throughput(
+        &kernel.module,
+        &kernel,
+        &WorkloadSpec::nginx(),
+        &nginx,
+        cfg,
+        7,
+    )
+    .expect("throughput run");
+    collect_profile(&kernel, &wl, &[bench], 3, 7).expect("profiling runs");
+    pibe_trace::set_enabled(false);
+    let data = pibe_trace::take();
+
+    let count = |name: &str| data.spans.iter().filter(|s| s.name == name).count();
+    assert_eq!(count("sim.latency.read"), 1);
+    assert_eq!(count("sim.throughput.Nginx"), 1);
+    assert_eq!(count("sim.profile.lmbench"), 3, "one span per round");
+    let insts: Vec<u64> = data
+        .counters
+        .iter()
+        .filter(|c| c.name == "sim.insts")
+        .map(|c| c.value)
+        .collect();
+    assert_eq!(insts.len(), 5, "one sample per run");
+    assert!(insts.contains(&latency.insts));
+    assert!(insts.contains(&throughput.insts));
+    assert!(insts.iter().all(|&n| n > 0));
 }
