@@ -27,7 +27,9 @@ use crate::ids::{FuncId, SiteId, Symbol};
 use crate::inst::{Inst, Terminator};
 use crate::verify::{self, VerifyError};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::collections::HashSet;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A whole program: the analogue of the paper's LTO-linked kernel bitcode.
 ///
@@ -42,11 +44,64 @@ use std::sync::Arc;
 /// size. Passes must therefore check read-only whether a function needs
 /// changing before calling `function_mut` — an unconditional write walk
 /// would degrade CoW back into a deep copy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// # Memoized analyses
+///
+/// The module memoizes its [`CallSites`] (which site ids are direct and
+/// which indirect calls), the universe every profile is validated
+/// against. Every `&mut self` accessor that can change a function body or
+/// the function list drops it, `Clone` shares it (an unchanged base
+/// module is scanned once however many images are built from it), a
+/// deserialized module starts cold, and it is invisible to serialization
+/// and `Debug`.
+#[derive(Clone)]
 pub struct Module {
     name: String,
     functions: Vec<Arc<Function>>,
     next_site: u64,
+    /// Memoized call-site universe; unset means dirty.
+    call_sites: OnceLock<Arc<CallSites>>,
+}
+
+impl fmt::Debug for Module {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Module")
+            .field("name", &self.name)
+            .field("functions", &self.functions)
+            .field("next_site", &self.next_site)
+            .finish()
+    }
+}
+
+/// The wire form: the module's own fields, without its memo.
+#[derive(Serialize, Deserialize)]
+struct ModuleWire {
+    name: String,
+    functions: Vec<Arc<Function>>,
+    next_site: u64,
+}
+
+impl Serialize for Module {
+    fn to_value(&self) -> serde::Value {
+        ModuleWire {
+            name: self.name.clone(),
+            functions: self.functions.clone(),
+            next_site: self.next_site,
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for Module {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let w = ModuleWire::from_value(v)?;
+        Ok(Module {
+            name: w.name,
+            functions: w.functions,
+            next_site: w.next_site,
+            call_sites: OnceLock::new(),
+        })
+    }
 }
 
 impl Module {
@@ -56,7 +111,15 @@ impl Module {
             name: name.into(),
             functions: Vec::new(),
             next_site: 0,
+            call_sites: OnceLock::new(),
         }
+    }
+
+    /// Drops the memoized call sites. Called by every `&mut self` accessor
+    /// that can change a function body or the function list.
+    #[inline]
+    fn invalidate(&mut self) {
+        self.call_sites.take();
     }
 
     /// The module's name.
@@ -66,6 +129,7 @@ impl Module {
 
     /// Adds a function, assigning and returning its id.
     pub fn add_function(&mut self, mut f: Function) -> FuncId {
+        self.invalidate();
         let id = FuncId::from_raw(self.functions.len() as u32);
         f.id = id;
         self.functions.push(Arc::new(f));
@@ -79,6 +143,7 @@ impl Module {
     /// shared with the input module this way); otherwise the function is
     /// copied once to fix its id.
     pub fn add_function_arc(&mut self, mut f: Arc<Function>) -> FuncId {
+        self.invalidate();
         let id = FuncId::from_raw(self.functions.len() as u32);
         if f.id != id {
             Arc::make_mut(&mut f).id = id;
@@ -94,6 +159,7 @@ impl Module {
     /// # Panics
     /// Panics if `id` is out of range.
     pub fn replace_function(&mut self, id: FuncId, mut f: Function) {
+        self.invalidate();
         f.id = id;
         self.functions[id.index()] = Arc::new(f);
     }
@@ -104,7 +170,8 @@ impl Module {
         self.next_site
     }
 
-    /// Allocates a fresh, never-used call-site id.
+    /// Allocates a fresh, never-used call-site id. No instruction carries
+    /// it yet, so the memoized [`CallSites`] stay valid.
     pub fn fresh_site(&mut self) -> SiteId {
         let id = SiteId::from_raw(self.next_site);
         self.next_site += 1;
@@ -129,6 +196,7 @@ impl Module {
     /// # Panics
     /// Panics if `id` is out of range.
     pub fn function_mut(&mut self, id: FuncId) -> &mut Function {
+        self.invalidate();
         Arc::make_mut(&mut self.functions[id.index()])
     }
 
@@ -157,6 +225,7 @@ impl Module {
     /// deterministic parallel merges are keyed by function id.
     pub fn set_function_arc(&mut self, id: FuncId, f: Arc<Function>) {
         assert_eq!(f.id, id, "merged function must keep its id");
+        self.invalidate();
         self.functions[id.index()] = f;
     }
 
@@ -199,6 +268,22 @@ impl Module {
         verify::verify_with_threads(self, threads)
     }
 
+    /// The module's call-site universe, scanned from every instruction on
+    /// first use and memoized until a mutating accessor runs. Clones of an
+    /// unchanged module share one scan.
+    pub fn call_sites(&self) -> &CallSites {
+        self.call_sites.get_or_init(|| {
+            let _span = pibe_trace::span("ir.call_sites");
+            Arc::new(CallSites::scan(self))
+        })
+    }
+
+    /// The memoized call sites, if warm (memo tests only).
+    #[cfg(test)]
+    fn cached_call_sites(&self) -> Option<&Arc<CallSites>> {
+        self.call_sites.get()
+    }
+
     /// Counts the static branch population of the module — the denominators
     /// of the paper's Tables 10 and 11.
     pub fn census(&self) -> BranchCensus {
@@ -229,6 +314,47 @@ impl Module {
             .iter()
             .map(|f| crate::size::function_bytes(f))
             .sum()
+    }
+}
+
+/// The set of direct and the set of indirect call sites of a module: the
+/// universe a profile's site-keyed counts must fall inside. Obtained from
+/// [`Module::call_sites`], which memoizes it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CallSites {
+    direct: HashSet<SiteId>,
+    indirect: HashSet<SiteId>,
+}
+
+impl CallSites {
+    /// Scans every instruction of `module`.
+    fn scan(module: &Module) -> Self {
+        let mut sites = CallSites::default();
+        for f in &module.functions {
+            // Flat pool scan: tombstones are plain ops and cannot match.
+            for inst in f.insts() {
+                match inst {
+                    Inst::Call { site, .. } => {
+                        sites.direct.insert(*site);
+                    }
+                    Inst::CallIndirect { site, .. } => {
+                        sites.indirect.insert(*site);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        sites
+    }
+
+    /// True when some direct call in the module carries `site`.
+    pub fn is_direct(&self, site: SiteId) -> bool {
+        self.direct.contains(&site)
+    }
+
+    /// True when some indirect call in the module carries `site`.
+    pub fn is_indirect(&self, site: SiteId) -> bool {
+        self.indirect.contains(&site)
     }
 }
 
@@ -320,6 +446,145 @@ mod tests {
         assert_eq!(back.functions(), m.functions());
         assert_eq!(back.peek_next_site(), m.peek_next_site());
         back.verify().unwrap();
+    }
+
+    /// A function `name` with one direct call of `callee` through a fresh
+    /// site of `m`: adding it grows the direct call-site set.
+    fn caller_of(m: &mut Module, name: &str, callee: FuncId) -> Function {
+        let site = m.fresh_site();
+        let mut b = FunctionBuilder::new(name, 0);
+        b.call(site, callee, 0);
+        b.ret();
+        b.build()
+    }
+
+    /// A call-free function with id `id`, as `set_function_arc` demands.
+    fn callless(name: &str, id: FuncId) -> Function {
+        let mut b = FunctionBuilder::new(name, 0);
+        b.ret();
+        let mut f = b.build();
+        f.id = id;
+        f
+    }
+
+    /// Every mutating accessor drops the call-site memo: after warming it
+    /// and mutating, the memoized sites equal a scan from scratch (and
+    /// move whenever the mutation changed the calls). `fresh_site` changes
+    /// no instruction, so it keeps the memo warm.
+    #[test]
+    fn call_sites_memo_is_invalidated_by_every_mutating_accessor() {
+        let leaf = FuncId::from_raw(0);
+        let root = FuncId::from_raw(1);
+        type Edit = Box<dyn Fn(&mut Module)>;
+        let edits: Vec<(&str, bool, Edit)> = vec![
+            (
+                "add_function",
+                true,
+                Box::new(move |m| {
+                    let f = caller_of(m, "extra", leaf);
+                    m.add_function(f);
+                }),
+            ),
+            (
+                "add_function_arc",
+                true,
+                Box::new(move |m| {
+                    let f = caller_of(m, "extra", leaf);
+                    m.add_function_arc(Arc::new(f));
+                }),
+            ),
+            (
+                "replace_function",
+                true,
+                Box::new(move |m| m.replace_function(root, callless("root2", root))),
+            ),
+            (
+                "function_mut",
+                true,
+                Box::new(move |m| {
+                    m.function_mut(root).remove_inst(crate::BlockId::ENTRY, 0);
+                }),
+            ),
+            (
+                "set_function_arc",
+                true,
+                Box::new(move |m| m.set_function_arc(root, Arc::new(callless("root2", root)))),
+            ),
+            (
+                "fresh_site",
+                false,
+                Box::new(|m| {
+                    m.fresh_site();
+                }),
+            ),
+        ];
+        for (name, invalidates, edit) in edits {
+            let mut m = sample_module();
+            let before = m.call_sites().clone();
+            assert!(m.cached_call_sites().is_some(), "{name}: memo warm");
+            edit(&mut m);
+            assert_eq!(
+                m.cached_call_sites().is_none(),
+                invalidates,
+                "{name}: memo dropped = {invalidates}"
+            );
+            let after = m.call_sites();
+            assert_eq!(*after, CallSites::scan(&m), "{name}: stale call sites");
+            assert_eq!(*after != before, invalidates, "{name}: sites moved");
+        }
+    }
+
+    /// The memo is shared by `Clone`, starts cold in a new or deserialized
+    /// module, and reports exactly the sites the module's calls carry.
+    #[test]
+    fn call_sites_memo_is_shared_and_starts_cold() {
+        let m = sample_module();
+        assert!(m.cached_call_sites().is_none(), "built cold");
+        let cold_copy = m.clone();
+        let sites = m.call_sites();
+        assert!(sites.is_direct(SiteId::from_raw(0)));
+        assert!(sites.is_indirect(SiteId::from_raw(1)));
+        assert!(!sites.is_direct(SiteId::from_raw(1)));
+        assert!(!sites.is_indirect(SiteId::from_raw(0)));
+        assert!(!sites.is_direct(SiteId::from_raw(2)));
+        assert!(
+            cold_copy.cached_call_sites().is_none(),
+            "a cold clone stays cold"
+        );
+
+        let copy = m.clone();
+        assert!(Arc::ptr_eq(
+            copy.cached_call_sites().expect("clone keeps the memo"),
+            m.cached_call_sites().expect("memo warm"),
+        ));
+
+        let json = serde_json::to_string(&m).expect("module serializes");
+        let back: Module = serde_json::from_str(&json).expect("module parses");
+        assert!(back.cached_call_sites().is_none(), "deserialized cold");
+        assert_eq!(back.call_sites(), sites);
+    }
+
+    /// The memo is invisible on the wire and in `Debug`: a module
+    /// serializes to the same bytes as before the memo existed, warm or
+    /// cold.
+    #[test]
+    fn call_sites_memo_leaves_the_wire_form_unchanged() {
+        const WIRE: &str = concat!(
+            r#"{"name":"m","functions":[{"name":"leaf","id":0,"args":0,"blocks":"#,
+            r#"[{"insts":[{"Op":"Alu"}],"term":"Return"}],"attrs":{"noinline":false,"#,
+            r#""optnone":false,"inline_asm":false,"boot_only":false},"frame_bytes":64},"#,
+            r#"{"name":"root","id":1,"args":0,"blocks":[{"insts":[{"Call":{"site":0,"#,
+            r#""callee":0,"args":0}},{"CallIndirect":{"site":1,"args":1,"resolved":false,"#,
+            r#""asm":false}}],"term":"Return"}],"attrs":{"noinline":false,"optnone":false,"#,
+            r#""inline_asm":false,"boot_only":false},"frame_bytes":64}],"next_site":2}"#,
+        );
+        let m = sample_module();
+        assert_eq!(serde_json::to_string(&m).unwrap(), WIRE, "cold");
+        let cold_debug = format!("{m:?}");
+        m.call_sites();
+        assert_eq!(serde_json::to_string(&m).unwrap(), WIRE, "warm");
+        assert_eq!(format!("{m:?}"), cold_debug);
+        assert!(!cold_debug.contains("call_sites"), "{cold_debug}");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! `ValidationPolicy` knob (strict / repair / trust).
 
 use crate::profile::{Profile, ValueProfileEntry};
-use pibe_ir::{FuncId, Inst, Module, SiteId};
+use pibe_ir::{FuncId, Module, SiteId};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -230,52 +230,18 @@ impl fmt::Display for ProfileRepair {
     }
 }
 
-/// The module-side universe a profile is checked against: which sites are
-/// direct/indirect calls and how many functions exist.
-struct SiteUniverse {
-    direct: HashSet<SiteId>,
-    indirect: HashSet<SiteId>,
-    funcs: usize,
-}
-
-impl SiteUniverse {
-    fn of(module: &Module) -> Self {
-        let mut direct = HashSet::new();
-        let mut indirect = HashSet::new();
-        for f in module.functions() {
-            // Flat pool scan: tombstones are plain ops and cannot match.
-            for inst in f.insts() {
-                match inst {
-                    Inst::Call { site, .. } => {
-                        direct.insert(*site);
-                    }
-                    Inst::CallIndirect { site, .. } => {
-                        indirect.insert(*site);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        SiteUniverse {
-            direct,
-            indirect,
-            funcs: module.len(),
-        }
-    }
-
-    fn has_func(&self, f: FuncId) -> bool {
-        f.index() < self.funcs
-    }
-}
-
 impl Profile {
     /// Checks this profile for consistency against `module`: dangling site
     /// and function ids, duplicated or truncated value profiles, saturated
     /// counts, and overall emptiness. The returned issue list is sorted, so
     /// the same profile/module pair always reports the same first issue.
+    ///
+    /// Costs O(|profile|) once the module's [`Module::call_sites`] memo is
+    /// warm; the first call on a module fills it.
     pub fn validate_against(&self, module: &Module) -> ProfileHealth {
+        let sites = module.call_sites();
         let _span = pibe_trace::span("profile.validate");
-        let u = SiteUniverse::of(module);
+        let has_func = |f: FuncId| f.index() < module.len();
         let mut issues = Vec::new();
 
         if self.is_empty() {
@@ -285,7 +251,7 @@ impl Profile {
         let mut direct: Vec<(SiteId, u64)> = self.iter_direct().collect();
         direct.sort_by_key(|(s, _)| *s);
         for (site, count) in direct {
-            if !u.direct.contains(&site) {
+            if !sites.is_direct(site) {
                 issues.push(ProfileIssue::DanglingDirectSite { site });
             }
             if count == u64::MAX {
@@ -296,7 +262,7 @@ impl Profile {
         let mut indirect: Vec<(SiteId, &[ValueProfileEntry])> = self.iter_indirect().collect();
         indirect.sort_by_key(|(s, _)| *s);
         for (site, entries) in indirect {
-            if !u.indirect.contains(&site) {
+            if !sites.is_indirect(site) {
                 issues.push(ProfileIssue::DanglingIndirectSite { site });
             }
             if entries.is_empty() {
@@ -304,7 +270,7 @@ impl Profile {
             }
             let mut seen: HashSet<FuncId> = HashSet::new();
             for e in entries {
-                if !u.has_func(e.target) {
+                if !has_func(e.target) {
                     issues.push(ProfileIssue::DanglingTarget {
                         site,
                         target: e.target,
@@ -331,7 +297,7 @@ impl Profile {
         let mut flagged_dangling: HashSet<FuncId> = HashSet::new();
         let mut flagged_saturated: HashSet<FuncId> = HashSet::new();
         for (func, count) in funcs {
-            if !u.has_func(func) && flagged_dangling.insert(func) {
+            if !has_func(func) && flagged_dangling.insert(func) {
                 issues.push(ProfileIssue::DanglingFunc { func });
             }
             if count == u64::MAX && flagged_saturated.insert(func) {
@@ -352,13 +318,14 @@ impl Profile {
     /// After repair, [`Profile::validate_against`] reports no issues other
     /// than (possibly) [`ProfileIssue::Empty`], which is advisory.
     pub fn repair_against(&mut self, module: &Module) -> ProfileRepair {
+        let sites = module.call_sites();
         let _span = pibe_trace::span("profile.repair");
-        let u = SiteUniverse::of(module);
+        let has_func = |f: FuncId| f.index() < module.len();
         let mut rep = ProfileRepair::default();
         let (direct, indirect, entries, returns) = self.raw_mut();
 
         direct.retain(|site, _| {
-            let keep = u.direct.contains(site);
+            let keep = sites.is_direct(*site);
             if !keep {
                 rep.dropped_direct_sites += 1;
             }
@@ -372,7 +339,7 @@ impl Profile {
         }
 
         indirect.retain(|site, _| {
-            let keep = u.indirect.contains(site);
+            let keep = sites.is_indirect(*site);
             if !keep {
                 rep.dropped_indirect_sites += 1;
             }
@@ -384,7 +351,7 @@ impl Profile {
             let mut merged: HashMap<FuncId, u64> = HashMap::new();
             let mut order_broken = 0u64;
             for e in vp.iter() {
-                if !u.has_func(e.target) {
+                if !has_func(e.target) {
                     rep.dropped_targets += 1;
                     continue;
                 }
@@ -424,7 +391,7 @@ impl Profile {
 
         for map in [entries, returns] {
             map.retain(|func, _| {
-                let keep = u.has_func(*func);
+                let keep = has_func(*func);
                 if !keep {
                     rep.dropped_funcs += 1;
                 }

@@ -6,7 +6,7 @@
 
 use pibe::{Image, PibeConfig, PipelineError, ValidationPolicy};
 use pibe_harden::DefenseSet;
-use pibe_ir::{FuncId, FunctionBuilder, Module, OpKind, SiteId};
+use pibe_ir::{BlockId, FuncId, FunctionBuilder, Module, OpKind, SiteId};
 use pibe_profile::{Profile, ProfileIssue, ProfileRepair, COUNT_CLAMP};
 
 /// `leaf()` and `root() { call leaf; icall }`: one direct site (0), one
@@ -337,4 +337,47 @@ fn a_clean_profile_attaches_no_repair_report() {
     let p = clean(d, i, leaf);
     assert!(p.validate_against(&m).is_clean());
     assert_eq!(repair_report(&m, &p), None);
+}
+
+/// Validation reads the module's memoized call sites. Removing a call
+/// after the memo is warm must drop it: the removed site is reported
+/// dangling and repair drops its count, whichever accessor removed it.
+#[test]
+fn removing_a_call_after_validation_makes_its_site_dangling() {
+    type Removal = fn(&mut Module, FuncId);
+    let removals: [(&str, Removal); 2] = [
+        ("replace_function", |m, root| {
+            let mut b = FunctionBuilder::new("root", 0);
+            b.ret();
+            m.replace_function(root, b.build());
+        }),
+        ("function_mut", |m, root| {
+            m.function_mut(root).remove_inst(BlockId::ENTRY, 0);
+        }),
+    ];
+    for (name, remove) in removals {
+        let (mut m, d, i, leaf) = module();
+        let root = m.find_function("root").expect("root exists");
+        let p = clean(d, i, leaf);
+        assert!(p.validate_against(&m).is_clean(), "{name}: warm-up");
+
+        remove(&mut m, root);
+        assert!(
+            p.validate_against(&m)
+                .issues()
+                .contains(&ProfileIssue::DanglingDirectSite { site: d }),
+            "{name}: removed site not reported"
+        );
+        assert_eq!(
+            strict_error(&m, &p),
+            ProfileIssue::DanglingDirectSite { site: d },
+            "{name}"
+        );
+
+        let mut fixed = p.clone();
+        let report = fixed.repair_against(&m);
+        assert_eq!(report.dropped_direct_sites, 1, "{name}: {report}");
+        assert_eq!(fixed.direct_count(d), 0, "{name}: count survived repair");
+        assert!(fixed.validate_against(&m).is_clean(), "{name}");
+    }
 }

@@ -9,9 +9,13 @@ use pibe_kernel::measure::{collect_profile, run_latency, run_throughput};
 use pibe_kernel::workloads::{lmbench_suite, Benchmark, MacroBench, WorkloadSpec};
 use pibe_kernel::{Kernel, KernelSpec, Syscall};
 use pibe_profile::{Budget, Profile};
+use pibe_serve::{DeltaStream, EpochOutcome, PibeService, ServeConfig, StreamConfig};
 use pibe_sim::SimConfig;
 use serde_json::Value;
 use std::sync::Mutex;
+use std::time::Duration;
+
+mod common;
 
 /// The tracer is process-global; tests that record serialize on this and
 /// leave the tracer disabled and drained behind them.
@@ -46,7 +50,9 @@ const STAGES: [&str; 8] = [
 
 /// Two single-threaded builds of the same configuration from the same
 /// fixed-seed kernel/profile record the identical span forest: same track,
-/// same nesting depths, same names, in the same order.
+/// same nesting depths, same names, in the same order. Each build starts
+/// from a copy of the kernel module whose memoized analyses are cold, so
+/// both record the module's one call-site scan.
 #[test]
 fn span_tree_is_deterministic_for_a_fixed_seed() {
     let _g = lock();
@@ -55,10 +61,11 @@ fn span_tree_is_deterministic_for_a_fixed_seed() {
 
     let mut runs = Vec::new();
     for _ in 0..2 {
+        let base = kernel.module.clone();
         pibe_trace::set_enabled(true);
         pibe_trace::set_track_name("test");
         let _ = pibe_trace::take();
-        Image::builder(&kernel.module)
+        Image::builder(&base)
             .profile(&profile)
             .config(config)
             .build()
@@ -267,4 +274,94 @@ fn simulated_runs_record_named_spans_and_instruction_counts() {
     assert!(insts.contains(&latency.insts));
     assert!(insts.contains(&throughput.insts));
     assert!(insts.iter().all(|&n| n > 0));
+}
+
+/// `ir.call_sites` spans recorded by `run`, with tracing on. Each is one
+/// O(module) scan of a module's call sites.
+fn call_site_scans(run: impl FnOnce()) -> usize {
+    pibe_trace::set_enabled(true);
+    pibe_trace::set_track_name("test");
+    let _ = pibe_trace::take();
+    run();
+    pibe_trace::set_enabled(false);
+    let data = pibe_trace::take();
+    data.spans
+        .iter()
+        .filter(|s| s.name == "ir.call_sites")
+        .count()
+}
+
+/// Profile validation reads the base module's memoized call sites, so an
+/// unchanged base is scanned exactly once: by the bootstrap build of a
+/// service that then validates every shard delta of eight epochs, drift
+/// rebuilds included, and by the first of a ladder of builds from one
+/// base. A second scan means validation went back to O(module) per call.
+#[test]
+fn an_unchanged_base_module_is_scanned_for_call_sites_once() {
+    let _g = lock();
+    let (kernel, profile) = lab();
+    let serve = ServeConfig {
+        watchdog: Duration::from_secs(600),
+        max_retries: 1,
+        freeze_after: 3,
+        backoff: Duration::ZERO,
+        threads: 1,
+    };
+    let stream_base = common::stream_base(&profile);
+    let mut outcomes = Vec::new();
+    let scans = call_site_scans(|| {
+        let mut svc = PibeService::bootstrap(
+            kernel.module.clone(),
+            profile.clone(),
+            PibeConfig::lax(DefenseSet::ALL).with_dce(true),
+            serve,
+        )
+        .expect("bootstrap build");
+        let mut stream = DeltaStream::new(
+            &kernel.module,
+            &stream_base,
+            StreamConfig {
+                shards: 4,
+                corrupt_permille: 250,
+                drift_every: 4,
+                ..StreamConfig::default()
+            },
+            0x5CA7,
+        );
+        for epoch in 0..8 {
+            let record = svc.ingest_epoch(stream.epoch_deltas(epoch));
+            outcomes.push(record.outcome.clone());
+        }
+        assert!(!svc.quarantine().is_empty(), "no delta was quarantined");
+    });
+    assert!(
+        outcomes
+            .iter()
+            .any(|o| matches!(o, EpochOutcome::Rebuilt { .. })),
+        "no epoch rebuilt: {outcomes:?}"
+    );
+    assert!(
+        outcomes.contains(&EpochOutcome::FastPath),
+        "no epoch took the fast path: {outcomes:?}"
+    );
+    assert_eq!(scans, 1, "serve run rescanned its base module");
+
+    let configs = [
+        PibeConfig::lto_with(DefenseSet::ALL),
+        PibeConfig::full(Budget::P99_9, DefenseSet::ALL),
+        PibeConfig::lax(DefenseSet::ALL),
+        PibeConfig::lax(DefenseSet::ALL).with_dce(true),
+        PibeConfig::pibe_baseline(),
+    ];
+    let base = kernel.module.clone();
+    let scans = call_site_scans(|| {
+        for config in configs {
+            Image::builder(&base)
+                .profile(&profile)
+                .config(config)
+                .build()
+                .expect("ladder build");
+        }
+    });
+    assert_eq!(scans, 1, "build ladder rescanned its base module");
 }
