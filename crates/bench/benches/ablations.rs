@@ -7,14 +7,14 @@
 //!   1–2 (§5.3);
 //! * **inlining order** — PIBE's greedy hot-first vs LLVM's bottom-up.
 //!
-//! Each sweep prints its measured series (the data behind the choice) and
-//! registers one Criterion timing per point so `cargo bench` records it.
+//! Each sweep prints its measured series (the data behind the choice).
+//! Run with `cargo bench -p pibe-bench --bench ablations`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use pibe::eval;
 use pibe::experiments::Lab;
-use pibe::{eval, PibeConfig};
 use pibe_baselines::{run_llvm_inliner, LlvmInlinerConfig};
 use pibe_harden::DefenseSet;
+use pibe_kernel::KernelSpec;
 use pibe_passes::{promote_indirect_calls, run_inliner, IcpConfig, InlinerConfig, SiteWeights};
 use pibe_profile::Budget;
 use pibe_sim::SimConfig;
@@ -54,7 +54,7 @@ fn build_with_inliner(lab: &Lab, inliner: InlinerConfig) -> pibe_ir::Module {
     m
 }
 
-fn ablation_rule_thresholds(c: &mut Criterion, lab: &Lab) {
+fn ablation_rule_thresholds(lab: &Lab) {
     eprintln!("\n# Ablation: Rule 2 caller-complexity threshold (paper: 12000)");
     for rule2 in [3_000u32, 6_000, 12_000, 24_000] {
         let g = geomean_of(lab, &|lab| {
@@ -83,16 +83,9 @@ fn ablation_rule_thresholds(c: &mut Criterion, lab: &Lab) {
         });
         eprintln!("rule3={rule3:>6}  geomean overhead = {g:.2}%");
     }
-    c.bench_function("ablation_inline_rules_point", |b| {
-        b.iter(|| {
-            geomean_of(lab, &|lab| {
-                build_with_inliner(lab, InlinerConfig::default())
-            })
-        })
-    });
 }
 
-fn ablation_icp_cap(c: &mut Criterion, lab: &Lab) {
+fn ablation_icp_cap(lab: &Lab) {
     eprintln!("\n# Ablation: ICP promoted-targets-per-site cap (paper: unlimited)");
     for cap in [Some(1usize), Some(2), None] {
         let g = geomean_of(lab, &|lab| {
@@ -122,15 +115,9 @@ fn ablation_icp_cap(c: &mut Criterion, lab: &Lab) {
         let label = cap.map_or("unlimited".to_string(), |c| c.to_string());
         eprintln!("cap={label:>9}  geomean overhead = {g:.2}%");
     }
-    c.bench_function("ablation_icp_cap_point", |b| {
-        b.iter(|| {
-            lab.run_config(&PibeConfig::full(Budget::P99_9, DefenseSet::ALL))
-                .0
-        })
-    });
 }
 
-fn ablation_ordering(c: &mut Criterion, lab: &Lab) {
+fn ablation_ordering(lab: &Lab) {
     eprintln!("\n# Ablation: inlining order — PIBE greedy hot-first vs LLVM bottom-up");
     let pibe = geomean_of(lab, &|lab| {
         build_with_inliner(
@@ -158,25 +145,11 @@ fn ablation_ordering(c: &mut Criterion, lab: &Lab) {
         m
     });
     eprintln!("pibe greedy hot-first: {pibe:.2}%   llvm bottom-up: {llvm:.2}%");
-    c.bench_function("ablation_ordering_point", |b| {
-        b.iter(|| {
-            geomean_of(lab, &|lab| {
-                build_with_inliner(lab, InlinerConfig::default())
-            })
-        })
-    });
 }
 
-fn ablations(c: &mut Criterion) {
-    let lab = pibe_bench::quick_lab();
-    ablation_rule_thresholds(c, &lab);
-    ablation_icp_cap(c, &lab);
-    ablation_ordering(c, &lab);
+fn main() {
+    let lab = Lab::new(KernelSpec::test(), 8, 2).unwrap_or_else(|e| panic!("lab failed: {e}"));
+    ablation_rule_thresholds(&lab);
+    ablation_icp_cap(&lab);
+    ablation_ordering(&lab);
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = ablations
-}
-criterion_main!(benches);

@@ -41,9 +41,10 @@ pub enum FailurePolicy {
     Abort,
     /// Record a [`StageFault`](crate::StageFault) and continue with the
     /// remaining stages. The image degrades (fewer eliminated branches) but
-    /// every surviving indirect branch is still defended — only
-    /// *optimization* stages (icp, inline) are skippable; a hardening
-    /// failure always aborts because skipping it would weaken defenses.
+    /// every surviving indirect branch is still defended — only the
+    /// stages before hardening (icp, inline, dce) are skippable; a
+    /// hardening failure always aborts because skipping it would weaken
+    /// defenses.
     SkipStage,
 }
 
@@ -138,32 +139,6 @@ impl PibeConfig {
     /// wrapper for existing call sites.
     pub fn lax(defenses: DefenseSet) -> Self {
         Self::builder().lax().defenses(defenses).build()
-    }
-
-    /// Replaces the validation policy (how profile inconsistencies are
-    /// treated).
-    pub fn with_validation(mut self, validation: ValidationPolicy) -> Self {
-        self.validation = validation;
-        self
-    }
-
-    /// Replaces the failure policy (how failing stages are treated).
-    pub fn with_failure(mut self, failure: FailurePolicy) -> Self {
-        self.failure = failure;
-        self
-    }
-
-    /// Enables (or disables) dead-function elimination after the
-    /// optimization passes.
-    pub fn with_dce(mut self, dce: bool) -> Self {
-        self.dce = dce;
-        self
-    }
-
-    /// Replaces the target architecture (and thus the defense backend).
-    pub fn with_arch(mut self, arch: Arch) -> Self {
-        self.arch = arch;
-        self
     }
 
     /// The PIBE performance baseline of Table 2: the best optimization
@@ -343,7 +318,7 @@ mod tests {
     fn dce_defaults_off_and_keys_the_cache() {
         let c = PibeConfig::lax(DefenseSet::ALL);
         assert!(!c.dce, "dce is opt-in");
-        let d = c.with_dce(true);
+        let d = PibeConfig { dce: true, ..c };
         assert!(d.dce);
         // Part of the farm's content key, like the policies.
         assert_ne!(c, d);
@@ -384,7 +359,10 @@ mod tests {
     fn arch_defaults_to_x86_and_keys_the_cache() {
         let c = PibeConfig::lax(DefenseSet::ALL);
         assert_eq!(c.arch, Arch::X86, "existing constructors stay x86");
-        let arm = c.with_arch(Arch::Arm64);
+        let arm = PibeConfig {
+            arch: Arch::Arm64,
+            ..c
+        };
         assert_eq!(arm.arch, Arch::Arm64);
         // Part of the farm's content key: per-arch builds never alias.
         assert_ne!(c, arm);
@@ -396,9 +374,11 @@ mod tests {
         let c = PibeConfig::lax(DefenseSet::ALL);
         assert_eq!(c.validation, ValidationPolicy::Repair);
         assert_eq!(c.failure, FailurePolicy::Abort);
-        let c = c
-            .with_validation(ValidationPolicy::Strict)
-            .with_failure(FailurePolicy::SkipStage);
+        let c = PibeConfig {
+            validation: ValidationPolicy::Strict,
+            failure: FailurePolicy::SkipStage,
+            ..c
+        };
         assert_eq!(c.validation, ValidationPolicy::Strict);
         assert_eq!(c.failure, FailurePolicy::SkipStage);
         // Policies are part of the farm's cache key.

@@ -91,7 +91,7 @@ pub fn cross_arch(lab: &Lab) -> (Table, Vec<CrossArchPoint>) {
 
     let all_configs: Vec<PibeConfig> = ladder
         .iter()
-        .flat_map(|(_, c)| arches.iter().map(move |a| c.with_arch(*a)))
+        .flat_map(|(_, c)| arches.iter().map(move |a| PibeConfig { arch: *a, ..*c }))
         .collect();
     lab.prefetch(&all_configs);
 

@@ -198,7 +198,10 @@ impl Lab {
     /// an arch-unaware lab.
     fn arched(&self, config: &PibeConfig) -> PibeConfig {
         if config.arch == Arch::X86 {
-            config.with_arch(self.arch)
+            PibeConfig {
+                arch: self.arch,
+                ..*config
+            }
         } else {
             *config
         }
@@ -219,7 +222,7 @@ impl Lab {
     /// the lab's default. The cross-arch experiment uses this to build the
     /// same optimization configuration for every backend in one lab.
     pub fn image_for_arch(&self, config: &PibeConfig, arch: Arch) -> Arc<Image> {
-        let config = config.with_arch(arch);
+        let config = PibeConfig { arch, ..*config };
         self.farm
             .image(&config)
             .unwrap_or_else(|e| panic!("image build failed for {config:?}: {e}"))

@@ -410,8 +410,10 @@ mod tests {
     fn worker_panic_is_contained_and_cached() {
         use crate::ValidationPolicy;
         let farm = poisoned_farm().with_threads(2);
-        let poisoned =
-            PibeConfig::lax(DefenseSet::ALL).with_validation(ValidationPolicy::TrustProfile);
+        let poisoned = PibeConfig {
+            validation: ValidationPolicy::TrustProfile,
+            ..PibeConfig::lax(DefenseSet::ALL)
+        };
         let healthy = [
             PibeConfig::lto(),
             PibeConfig::lto_with(DefenseSet::ALL),

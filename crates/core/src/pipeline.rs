@@ -11,16 +11,15 @@
 //!
 //! The pipeline is *fault tolerant*: the profile is validated (and, under
 //! [`ValidationPolicy::Repair`], repaired) against the module before any
-//! pass consumes it, and each transform stage runs transactionally — the
-//! module is snapshotted before the stage, verified after it, and rolled
-//! back to the snapshot if the stage produced structurally invalid IR. What
-//! happens next is the [`FailurePolicy`]'s call: abort with a typed
-//! [`PipelineError::StageFailed`], or record a [`StageFault`] and continue
-//! with the remaining stages. A hardening failure always aborts — skipping
-//! the defense stage would silently weaken the image.
-//!
-//! [`build_image`] remains as a thin forwarding wrapper for callers that
-//! want the original panicking signature.
+//! pass consumes it, and each transform stage (icp, inline, dce, harden)
+//! runs through one transactional runner — the module is verified after
+//! the stage, and if the stage produced structurally invalid IR the
+//! [`FailurePolicy`] decides: abort with a typed
+//! [`PipelineError::StageFailed`], or roll the stage back, record a
+//! [`StageFault`] and continue with the remaining stages. A hardening
+//! failure always aborts — skipping the defense stage would silently
+//! weaken the image. The module is snapshotted before a stage only when
+//! its failure could be survived.
 
 use crate::chaos::{ModuleCorruption, SemanticCorruption};
 use crate::config::{FailurePolicy, PibeConfig, ValidationPolicy};
@@ -193,13 +192,16 @@ pub struct BuildMetrics {
     pub validate_ns: u64,
     /// Cloning the base module.
     pub clone_ns: u64,
-    /// Indirect call promotion (zero when the config disables ICP).
+    /// Indirect call promotion, excluding its post-stage verification
+    /// (near zero when the config disables ICP).
     pub icp_ns: u64,
-    /// The security inliner (zero when the config disables inlining).
+    /// The security inliner, excluding its post-stage verification
+    /// (near zero when the config disables inlining).
     pub inline_ns: u64,
-    /// Dead-function elimination (zero when the config disables DCE).
+    /// Dead-function elimination, excluding its post-stage verification
+    /// (near zero when the config disables DCE).
     pub dce_ns: u64,
-    /// Defense transforms.
+    /// Defense transforms, excluding their post-stage verification.
     pub harden_ns: u64,
     /// The static security audit.
     pub audit_ns: u64,
@@ -469,35 +471,27 @@ impl<'m, 'p> ProfiledImageBuilder<'m, 'p> {
     }
 
     fn sabotage(&self, stage: Stage, module: &mut Module) {
-        if let Some((s, fault, seed)) = self.sabotage {
-            if s == stage {
-                fault.apply(module, seed);
-            }
+        if let Some((_, fault, seed)) = self.sabotage.filter(|&(s, ..)| s == stage) {
+            fault.apply(module, seed);
         }
-        if let Some((s, fault, seed)) = self.semantic_sabotage {
-            if s == stage {
-                fault.apply(module, seed);
-            }
+        if let Some((_, fault, seed)) = self.semantic_sabotage.filter(|&(s, ..)| s == stage) {
+            fault.apply(module, seed);
         }
     }
 
-    fn notify(&self, stage: Stage, module: &Module, dce_map: Option<&DceMap>) {
-        if let Some(obs) = self.observer {
-            obs(StageSnapshot {
-                stage,
-                module,
-                dce_map,
-            });
-        }
+    /// Per-stage verification is what makes rollback possible; trusting
+    /// the profile also means trusting the passes (legacy fast path).
+    fn guarded(&self) -> bool {
+        !matches!(self.config.validation, ValidationPolicy::TrustProfile)
     }
 
     /// Runs the hardening phase: validates (and under
     /// [`ValidationPolicy::Repair`], repairs) the profile against the base,
     /// clones the base, applies indirect call promotion and the security
-    /// inliner per the configuration (ICP first, as in the paper), then the
-    /// defense transforms — each stage transactionally, with a post-stage
-    /// verify and rollback-on-failure — audits the result, and verifies the
-    /// final module.
+    /// inliner per the configuration (ICP first, as in the paper), then
+    /// dead-function elimination and the defense transforms — each stage
+    /// transactionally, with a post-stage verify and rollback-on-failure —
+    /// audits the result, and verifies the final module.
     ///
     /// Under [`ValidationPolicy::TrustProfile`] both profile validation and
     /// the per-stage verification are skipped (the legacy fast path with a
@@ -511,295 +505,231 @@ impl<'m, 'p> ProfiledImageBuilder<'m, 'p> {
     /// * [`PipelineError::InvalidModule`] — the input or final module
     ///   failed structural verification.
     pub fn build(self) -> Result<Image, PipelineError> {
-        let config = self.config;
-        let threads = self.threads;
+        let (config, threads) = (self.config, self.threads);
         let build_start = Instant::now();
-        let mut metrics = BuildMetrics::default();
-        let mut faults = FaultLog::default();
         let _build_span = pibe_trace::span_args("pipeline.build", || {
+            let debug = |v: &dyn fmt::Debug| pibe_trace::Value::from(format!("{v:?}"));
             vec![
                 ("icp", pibe_trace::Value::from(config.icp.is_some())),
                 ("inline", pibe_trace::Value::from(config.inliner.is_some())),
-                (
-                    "defenses",
-                    pibe_trace::Value::from(format!("{:?}", config.defenses)),
-                ),
+                ("defenses", debug(&config.defenses)),
                 ("arch", pibe_trace::Value::from(config.arch.name())),
-                (
-                    "validation",
-                    pibe_trace::Value::from(format!("{:?}", config.validation)),
-                ),
+                ("validation", debug(&config.validation)),
             ]
         });
+        let mut metrics = BuildMetrics::default();
 
-        // Stage 0: profile validation/repair.
-        let stage = Instant::now();
-        let trace_span = pibe_trace::span("stage.validate");
-        let mut repair = None;
-        let mut repaired_profile = None;
-        match config.validation {
-            ValidationPolicy::Strict => {
-                if let Some(issue) = self.profile.validate_against(self.base).first() {
-                    return Err(PipelineError::ProfileInvalid(issue));
-                }
+        let (repaired, repair) = timed(&mut metrics, VALIDATE, |_| match config.validation {
+            ValidationPolicy::Strict => match self.profile.validate_against(self.base).first() {
+                Some(issue) => Err(PipelineError::ProfileInvalid(issue)),
+                None => Ok((None, None)),
+            },
+            ValidationPolicy::Repair if !self.profile.validate_against(self.base).is_clean() => {
+                let mut fixed = self.profile.clone();
+                let report = fixed.repair_against(self.base);
+                Ok((Some(fixed), Some(report)))
             }
-            ValidationPolicy::Repair => {
-                if !self.profile.validate_against(self.base).is_clean() {
-                    let mut fixed = self.profile.clone();
-                    let report = fixed.repair_against(self.base);
-                    repair = Some(report);
-                    repaired_profile = Some(fixed);
-                }
-            }
-            ValidationPolicy::TrustProfile => {}
-        }
-        let profile = repaired_profile.as_ref().unwrap_or(self.profile);
-        metrics.validate_ns = stage.elapsed().as_nanos() as u64;
-        drop(trace_span);
+            ValidationPolicy::Repair | ValidationPolicy::TrustProfile => Ok((None, None)),
+        })?;
+        let profile = repaired.as_ref().unwrap_or(self.profile);
 
-        // Per-stage verification is what makes rollback possible; trusting
-        // the profile also means trusting the passes (legacy fast path).
-        let guarded = !matches!(config.validation, ValidationPolicy::TrustProfile);
-
-        let stage = Instant::now();
-        let trace_span = pibe_trace::span("stage.clone");
-        let mut module = self.base.clone();
-        metrics.clone_ns = stage.elapsed().as_nanos() as u64;
-        drop(trace_span);
-
+        let module = timed(&mut metrics, CLONE, |_| self.base.clone());
         // Input verification: reject corrupt bases before any pass touches
         // them, so a stage failure always implicates the stage.
-        if guarded {
-            let stage = Instant::now();
-            let _trace_span = pibe_trace::span("stage.verify");
-            module
-                .verify_threaded(threads)
+        if self.guarded() {
+            timed(&mut metrics, VERIFY, |_| module.verify_threaded(threads))
                 .map_err(PipelineError::InvalidModule)?;
-            metrics.verify_ns += stage.elapsed().as_nanos() as u64;
         }
 
-        let mut weights = SiteWeights::from_profile(profile);
-
-        // Stage 1: indirect call promotion (transactional when guarded;
-        // ICP also mutates the site weights, so both are snapshotted).
-        let stage = Instant::now();
-        let trace_span = pibe_trace::span("stage.icp");
-        let mut icp_stats = None;
-        if let Some(icp) = config.icp.as_ref() {
-            if guarded {
-                // CoW: the snapshot is O(#functions) pointer bumps, and the
-                // weights roll back through their delta journal instead of a
-                // table copy.
-                let module_snapshot = module.clone();
-                weights.begin_undo();
-                let stats = promote_indirect_calls(&mut module, &mut weights, profile, icp);
-                self.sabotage(Stage::Icp, &mut module);
-                match module.verify_threaded(threads) {
-                    Ok(()) => {
-                        icp_stats = Some(stats);
-                        weights.commit_undo();
-                        self.notify(Stage::Icp, &module, None);
-                    }
-                    Err(error) => {
-                        module = module_snapshot;
-                        weights.rollback_undo();
-                        metrics.rollbacks += 1;
-                        pibe_trace::event_args("stage.rollback", || {
-                            vec![
-                                ("stage", pibe_trace::Value::from("icp")),
-                                ("error", pibe_trace::Value::from(error.to_string())),
-                            ]
-                        });
-                        faults.push(Stage::Icp, error.clone());
-                        if matches!(config.failure, FailurePolicy::Abort) {
-                            return Err(PipelineError::StageFailed {
-                                stage: Stage::Icp,
-                                error,
-                            });
-                        }
-                    }
-                }
-            } else {
-                icp_stats = Some(promote_indirect_calls(
-                    &mut module,
-                    &mut weights,
-                    profile,
-                    icp,
-                ));
-                self.sabotage(Stage::Icp, &mut module);
-                self.notify(Stage::Icp, &module, None);
-            }
-        }
-        metrics.icp_ns = stage.elapsed().as_nanos() as u64;
-        drop(trace_span);
-
-        // Stage 2: the security inliner.
-        let stage = Instant::now();
-        let trace_span = pibe_trace::span("stage.inline");
-        let mut inline_stats = None;
-        if let Some(inl) = config.inliner.as_ref() {
-            if guarded {
-                let module_snapshot = module.clone();
-                let stats = run_inliner(&mut module, &weights, profile, inl);
-                self.sabotage(Stage::Inline, &mut module);
-                match module.verify_threaded(threads) {
-                    Ok(()) => {
-                        inline_stats = Some(stats);
-                        self.notify(Stage::Inline, &module, None);
-                    }
-                    Err(error) => {
-                        module = module_snapshot;
-                        metrics.rollbacks += 1;
-                        pibe_trace::event_args("stage.rollback", || {
-                            vec![
-                                ("stage", pibe_trace::Value::from("inline")),
-                                ("error", pibe_trace::Value::from(error.to_string())),
-                            ]
-                        });
-                        faults.push(Stage::Inline, error.clone());
-                        if matches!(config.failure, FailurePolicy::Abort) {
-                            return Err(PipelineError::StageFailed {
-                                stage: Stage::Inline,
-                                error,
-                            });
-                        }
-                    }
-                }
-            } else {
-                inline_stats = Some(run_inliner(&mut module, &weights, profile, inl));
-                self.sabotage(Stage::Inline, &mut module);
-                self.notify(Stage::Inline, &module, None);
-            }
-        }
-        metrics.inline_ns = stage.elapsed().as_nanos() as u64;
-        drop(trace_span);
-
-        // Stage 3: dead-function elimination. Roots are the call-graph
-        // sources plus every function the profile saw entered; the
-        // address-taken set is every profiled indirect-call target. The
-        // pass trusts the profile here the way real `--gc-sections` trusts
-        // relocations — a target the profile never named *can* be stripped,
-        // which is exactly the kind of assumption the differential oracle
-        // keeps honest. Transactional like the optimization stages; the
-        // pass rebuilds into a fresh module, so rollback is just not
-        // committing it.
-        let stage = Instant::now();
-        let trace_span = pibe_trace::span("stage.dce");
-        let mut dce_stats = None;
-        let mut dce_map = None;
-        if config.dce {
-            let (roots, taken) = dce_roots(&module, profile);
-            let (mut stripped, map, stats) =
-                strip_unreachable_threaded(&module, &roots, &taken, threads);
-            self.sabotage(Stage::Dce, &mut stripped);
-            let commit = if guarded {
-                match stripped.verify_threaded(threads) {
-                    Ok(()) => true,
-                    Err(error) => {
-                        metrics.rollbacks += 1;
-                        pibe_trace::event_args("stage.rollback", || {
-                            vec![
-                                ("stage", pibe_trace::Value::from("dce")),
-                                ("error", pibe_trace::Value::from(error.to_string())),
-                            ]
-                        });
-                        faults.push(Stage::Dce, error.clone());
-                        if matches!(config.failure, FailurePolicy::Abort) {
-                            return Err(PipelineError::StageFailed {
-                                stage: Stage::Dce,
-                                error,
-                            });
-                        }
-                        false
-                    }
-                }
-            } else {
-                true
-            };
-            if commit {
-                module = stripped;
-                dce_stats = Some(stats);
-                self.notify(Stage::Dce, &module, Some(&map));
-                dce_map = Some(map);
-            }
-        }
-        metrics.dce_ns = stage.elapsed().as_nanos() as u64;
-        drop(trace_span);
-
-        // Stage 4: defenses. A hardening failure always aborts, whatever
-        // the failure policy: shipping an image whose defense stage was
-        // skipped would weaken every surviving indirect branch. (No
-        // snapshot — an abort discards the module either way.)
-        let stage = Instant::now();
-        let trace_span = pibe_trace::span("stage.harden");
-        let backend = config.arch.backend();
-        let run_harden = |module: &mut Module| match self.harden_cache {
-            Some(cache) => {
-                pibe_harden::apply_cached(module, backend, config.defenses, threads, cache)
-            }
-            None => pibe_harden::apply_with(module, backend, config.defenses, threads),
+        let mut tx = Transaction {
+            module,
+            dce_map: None,
+            weights: SiteWeights::from_profile(profile),
+            metrics,
+            faults: FaultLog::default(),
         };
-        let harden_report;
-        if guarded {
-            let report = run_harden(&mut module);
-            self.sabotage(Stage::Harden, &mut module);
-            match module.verify_threaded(threads) {
-                Ok(()) => harden_report = report,
-                Err(error) => {
-                    return Err(PipelineError::StageFailed {
-                        stage: Stage::Harden,
-                        error,
-                    });
-                }
-            }
-        } else {
-            harden_report = run_harden(&mut module);
-            self.sabotage(Stage::Harden, &mut module);
-        }
-        self.notify(Stage::Harden, &module, dce_map.as_ref());
-        metrics.harden_ns = stage.elapsed().as_nanos() as u64;
-        drop(trace_span);
+        let icp_stats = self.transact(
+            Stage::Icp,
+            &mut tx,
+            config.icp,
+            |icp, module, weights, _| promote_indirect_calls(module, weights, profile, &icp),
+        )?;
+        let inline_stats = self.transact(
+            Stage::Inline,
+            &mut tx,
+            config.inliner,
+            |inl, module, weights, _| run_inliner(module, weights, profile, &inl),
+        )?;
+        // Dead-function elimination rebuilds into a fresh module, trusting
+        // the profile for its roots (see `dce_roots`).
+        let dce = config.dce.then_some(());
+        let dce_stats = self.transact(Stage::Dce, &mut tx, dce, |(), module, _, dce_map| {
+            let (roots, taken) = dce_roots(module, profile);
+            let (stripped, map, stats) =
+                strip_unreachable_threaded(module, &roots, &taken, threads);
+            *module = stripped;
+            *dce_map = Some(map);
+            stats
+        })?;
+        let (backend, defenses) = (config.arch.backend(), config.defenses);
+        let harden_report = self
+            .transact(
+                Stage::Harden,
+                &mut tx,
+                Some(()),
+                |(), module, _, _| match self.harden_cache {
+                    Some(cache) => {
+                        pibe_harden::apply_cached(module, backend, defenses, threads, cache)
+                    }
+                    None => pibe_harden::apply_with(module, backend, defenses, threads),
+                },
+            )?
+            .expect("hardening always runs, and a hardening failure aborts the build");
 
-        let stage = Instant::now();
-        let trace_span = pibe_trace::span("stage.audit");
-        let audit =
-            audit_backend(&module, backend, config.defenses).map_err(PipelineError::AuditFailed)?;
-        metrics.audit_ns = stage.elapsed().as_nanos() as u64;
-        drop(trace_span);
-
-        let stage = Instant::now();
-        let trace_span = pibe_trace::span("stage.size");
-        let size = ImageSize::of(&module, backend, config.defenses);
-        metrics.size_ns = stage.elapsed().as_nanos() as u64;
-        drop(trace_span);
-
+        let (module, metrics) = (&tx.module, &mut tx.metrics);
+        let audit = timed(metrics, AUDIT, |_| audit_backend(module, backend, defenses))
+            .map_err(PipelineError::AuditFailed)?;
+        let size = timed(metrics, SIZE, |_| ImageSize::of(module, backend, defenses));
         // Final verification runs under every policy: no image leaves the
         // pipeline unverified.
-        let stage = Instant::now();
-        let trace_span = pibe_trace::span("stage.verify");
-        module
-            .verify_threaded(threads)
+        timed(metrics, VERIFY, |_| module.verify_threaded(threads))
             .map_err(PipelineError::InvalidModule)?;
-        metrics.verify_ns += stage.elapsed().as_nanos() as u64;
-        drop(trace_span);
 
-        metrics.total_ns = build_start.elapsed().as_nanos() as u64;
-        pibe_trace::record_value("pipeline.build_us", metrics.total_ns / 1_000);
+        tx.metrics.total_ns = build_start.elapsed().as_nanos() as u64;
+        pibe_trace::record_value("pipeline.build_us", tx.metrics.total_ns / 1_000);
         Ok(Image {
-            module,
+            module: tx.module,
             config,
             icp_stats,
             inline_stats,
             dce_stats,
-            dce_map,
+            dce_map: tx.dce_map,
             harden_report,
             audit,
             size,
-            metrics,
+            metrics: tx.metrics,
             repair,
-            faults,
+            faults: tx.faults,
         })
     }
+
+    /// Runs one transform stage as a transaction over `tx`, inside the
+    /// stage's span: nothing more when the stage's `settings` are `None`
+    /// (the configuration disables it), else the pass, the chaos hooks,
+    /// then — when guarded — verification under its own `stage.verify`
+    /// span. A committed stage is shown to the observer. An invalid output
+    /// is logged as a fault and either fails the build with
+    /// [`PipelineError::StageFailed`] or, when the fault is survivable
+    /// ([`FailurePolicy::SkipStage`], and never for `harden`), is rolled
+    /// back to the state before the pass (`Ok(None)`). Only a survivable
+    /// fault needs that snapshot and the weights' undo journal: any other
+    /// failure discards the whole build.
+    fn transact<C, R>(
+        &self,
+        stage: Stage,
+        tx: &mut Transaction,
+        settings: Option<C>,
+        pass: impl FnOnce(C, &mut Module, &mut SiteWeights, &mut Option<DceMap>) -> R,
+    ) -> Result<Option<R>, PipelineError> {
+        let guarded = self.guarded();
+        let survivable =
+            guarded && self.config.failure == FailurePolicy::SkipStage && stage != Stage::Harden;
+        timed(&mut tx.metrics, stage.phase(), |metrics| {
+            let Some(settings) = settings else {
+                return Ok(None);
+            };
+            let snapshot = survivable.then(|| {
+                tx.weights.begin_undo();
+                (tx.module.clone(), tx.dce_map.clone())
+            });
+            let out = pass(settings, &mut tx.module, &mut tx.weights, &mut tx.dce_map);
+            self.sabotage(stage, &mut tx.module);
+            let verified = if guarded {
+                timed(metrics, VERIFY, |_| tx.module.verify_threaded(self.threads))
+            } else {
+                Ok(())
+            };
+            if let Err(error) = verified {
+                metrics.rollbacks += 1;
+                pibe_trace::event_args("stage.rollback", || {
+                    vec![
+                        ("stage", pibe_trace::Value::from(stage.name())),
+                        ("error", pibe_trace::Value::from(error.to_string())),
+                    ]
+                });
+                tx.faults.push(stage, error.clone());
+                let Some(snapshot) = snapshot else {
+                    return Err(PipelineError::StageFailed { stage, error });
+                };
+                (tx.module, tx.dce_map) = snapshot;
+                tx.weights.rollback_undo();
+                return Ok(None);
+            }
+            if snapshot.is_some() {
+                tx.weights.commit_undo();
+            }
+            if let Some(observer) = self.observer {
+                observer(StageSnapshot {
+                    stage,
+                    module: &tx.module,
+                    dce_map: tx.dce_map.as_ref(),
+                });
+            }
+            Ok(Some(out))
+        })
+    }
+}
+
+/// The state the transform stages thread through one build. A rolled-back
+/// stage restores the module, the DCE map and the site weights.
+struct Transaction {
+    module: Module,
+    /// The DCE renumbering, once DCE has committed.
+    dce_map: Option<DceMap>,
+    /// Site weights; ICP rewrites them, so a survivable stage journals them.
+    weights: SiteWeights,
+    metrics: BuildMetrics,
+    faults: FaultLog,
+}
+
+/// A timed phase of the build: its trace span and the [`BuildMetrics`]
+/// field its wall-clock time is charged to.
+type Phase = (&'static str, fn(&mut BuildMetrics) -> &mut u64);
+
+const VALIDATE: Phase = ("stage.validate", |m| &mut m.validate_ns);
+const CLONE: Phase = ("stage.clone", |m| &mut m.clone_ns);
+const AUDIT: Phase = ("stage.audit", |m| &mut m.audit_ns);
+const SIZE: Phase = ("stage.size", |m| &mut m.size_ns);
+const VERIFY: Phase = ("stage.verify", |m| &mut m.verify_ns);
+
+impl Stage {
+    fn phase(self) -> Phase {
+        match self {
+            Stage::Icp => ("stage.icp", |m| &mut m.icp_ns),
+            Stage::Inline => ("stage.inline", |m| &mut m.inline_ns),
+            Stage::Dce => ("stage.dce", |m| &mut m.dce_ns),
+            Stage::Harden => ("stage.harden", |m| &mut m.harden_ns),
+        }
+    }
+}
+
+/// Runs `f` inside `phase`'s trace span and charges its wall-clock time to
+/// `phase`'s field. Time that phases nested inside `f` charged themselves
+/// (a stage's own verification) is not charged again, so the fields add up
+/// to at most the build's total.
+fn timed<T>(
+    metrics: &mut BuildMetrics,
+    (span, field): Phase,
+    f: impl FnOnce(&mut BuildMetrics) -> T,
+) -> T {
+    let charged = |m: &BuildMetrics| m.stages().iter().map(|(_, ns)| ns).sum::<u64>();
+    let _span = pibe_trace::span(span);
+    let before = charged(metrics);
+    let start = Instant::now();
+    let out = f(metrics);
+    let nested = charged(metrics) - before;
+    *field(metrics) += (start.elapsed().as_nanos() as u64).saturating_sub(nested);
+    out
 }
 
 /// Derives the DCE root and address-taken sets from the profile.
@@ -811,6 +741,10 @@ impl<'m, 'p> ProfiledImageBuilder<'m, 'p> {
 /// * Address-taken: every target named by any value profile — the model's
 ///   stand-in for relocation-visible function addresses (an indirect call
 ///   may reach them even when no static edge does).
+///
+/// The pass trusts the profile here the way real `--gc-sections` trusts
+/// relocations — a target the profile never named *can* be stripped, which
+/// is exactly the kind of assumption the differential oracle keeps honest.
 ///
 /// An empty profile yields no information, so every function becomes a
 /// root (DCE degrades to a verified no-op rather than stripping the whole
@@ -838,23 +772,6 @@ fn dce_roots(module: &Module, profile: &Profile) -> (Vec<FuncId>, Vec<FuncId>) {
     (roots, taken)
 }
 
-/// Runs the hardening phase with the original signature; forwards to
-/// [`Image::builder`].
-///
-/// `base` itself is never modified; experiments build many images from one
-/// profiled kernel.
-///
-/// # Panics
-/// Panics if the pipeline refuses to produce an image (the builder API
-/// returns the typed [`PipelineError`] instead).
-pub fn build_image(base: &Module, profile: &Profile, config: &PibeConfig) -> Image {
-    Image::builder(base)
-        .profile(profile)
-        .config(*config)
-        .build()
-        .expect("pipeline must preserve validity")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -874,10 +791,18 @@ mod tests {
         (k, p)
     }
 
+    fn build(k: &Kernel, p: &Profile, config: PibeConfig) -> Image {
+        Image::builder(&k.module)
+            .profile(p)
+            .config(config)
+            .build()
+            .expect("builds")
+    }
+
     #[test]
     fn lto_image_is_the_identity() {
         let (k, p) = profiled_kernel();
-        let img = build_image(&k.module, &p, &PibeConfig::lto());
+        let img = build(&k, &p, PibeConfig::lto());
         assert_eq!(img.module.code_bytes(), k.module.code_bytes());
         assert!(img.icp_stats.is_none() && img.inline_stats.is_none());
         assert!(img.repair.is_none(), "clean profile needs no repair");
@@ -887,11 +812,7 @@ mod tests {
     #[test]
     fn full_image_elides_and_grows() {
         let (k, p) = profiled_kernel();
-        let img = build_image(
-            &k.module,
-            &p,
-            &PibeConfig::full(Budget::P99_9, DefenseSet::ALL),
-        );
+        let img = build(&k, &p, PibeConfig::full(Budget::P99_9, DefenseSet::ALL));
         let icp = img.icp_stats.unwrap();
         let inl = img.inline_stats.unwrap();
         assert!(icp.promoted_targets > 0, "hot targets promoted");
@@ -906,7 +827,7 @@ mod tests {
     #[test]
     fn hardening_disables_jump_tables_and_audits() {
         let (k, p) = profiled_kernel();
-        let img = build_image(&k.module, &p, &PibeConfig::lto_with(DefenseSet::ALL));
+        let img = build(&k, &p, PibeConfig::lto_with(DefenseSet::ALL));
         assert!(img.harden_report.jump_tables_disabled > 0);
         assert_eq!(img.harden_report.jump_tables_kept, 5, "asm tables remain");
         assert_eq!(img.audit.vulnerable_ijumps, 5);
@@ -918,10 +839,13 @@ mod tests {
     #[test]
     fn hardware_cfi_arch_keeps_and_protects_jump_tables() {
         let (k, p) = profiled_kernel();
-        let x86 = build_image(&k.module, &p, &PibeConfig::lto_with(DefenseSet::ALL));
+        let x86 = build(&k, &p, PibeConfig::lto_with(DefenseSet::ALL));
         for arch in [pibe_harden::Arch::Arm64, pibe_harden::Arch::Riscv64] {
-            let cfg = PibeConfig::lto_with(DefenseSet::ALL).with_arch(arch);
-            let img = build_image(&k.module, &p, &cfg);
+            let cfg = PibeConfig {
+                arch,
+                ..PibeConfig::lto_with(DefenseSet::ALL)
+            };
+            let img = build(&k, &p, cfg);
             assert_eq!(
                 img.harden_report.jump_tables_disabled, 0,
                 "{arch:?}: landing pads cover table targets, tables stay"
@@ -939,8 +863,8 @@ mod tests {
     #[test]
     fn inlining_duplicates_paravirt_gadgets() {
         let (k, p) = profiled_kernel();
-        let before = build_image(&k.module, &p, &PibeConfig::lto_with(DefenseSet::ALL));
-        let after = build_image(&k.module, &p, &PibeConfig::lax(DefenseSet::ALL));
+        let before = build(&k, &p, PibeConfig::lto_with(DefenseSet::ALL));
+        let after = build(&k, &p, PibeConfig::lax(DefenseSet::ALL));
         assert!(
             after.audit.vulnerable_icalls >= before.audit.vulnerable_icalls,
             "Table 11: vulnerable icalls grow with inlining ({} -> {})",
@@ -953,12 +877,12 @@ mod tests {
     #[test]
     fn image_size_reports_huge_pages() {
         let (k, p) = profiled_kernel();
-        let img = build_image(&k.module, &p, &PibeConfig::lto());
+        let img = build(&k, &p, PibeConfig::lto());
         assert_eq!(
             img.size.mem_pages_2m,
             img.size.bytes.div_ceil(2 * 1024 * 1024)
         );
-        let hard = build_image(&k.module, &p, &PibeConfig::lto_with(DefenseSet::ALL));
+        let hard = build(&k, &p, PibeConfig::lto_with(DefenseSet::ALL));
         assert!(
             hard.size.bytes > img.size.bytes,
             "defense sequences add bytes"
@@ -966,18 +890,8 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_build_image_and_defaults_to_lto() {
+    fn builder_defaults_to_lto() {
         let (k, p) = profiled_kernel();
-        let via_fn = build_image(&k.module, &p, &PibeConfig::lax(DefenseSet::ALL));
-        let via_builder = Image::builder(&k.module)
-            .profile(&p)
-            .config(PibeConfig::lax(DefenseSet::ALL))
-            .build()
-            .expect("builds");
-        assert_eq!(via_fn.size, via_builder.size);
-        assert_eq!(via_fn.icp_stats, via_builder.icp_stats);
-        assert_eq!(via_fn.inline_stats, via_builder.inline_stats);
-
         // Without an explicit config the builder produces the LTO baseline.
         let default = Image::builder(&k.module)
             .profile(&p)
@@ -990,11 +904,7 @@ mod tests {
     #[test]
     fn build_metrics_cover_every_stage() {
         let (k, p) = profiled_kernel();
-        let img = Image::builder(&k.module)
-            .profile(&p)
-            .config(PibeConfig::lax(DefenseSet::ALL))
-            .build()
-            .expect("builds");
+        let img = build(&k, &p, PibeConfig::lax(DefenseSet::ALL));
         let m = img.metrics;
         assert!(m.clone_ns > 0 && m.icp_ns > 0 && m.inline_ns > 0);
         assert!(m.harden_ns > 0 && m.verify_ns > 0);
@@ -1046,7 +956,10 @@ mod tests {
             seen += 1;
             let err = Image::builder(&k.module)
                 .profile(&bad)
-                .config(PibeConfig::lax(DefenseSet::ALL).with_validation(ValidationPolicy::Strict))
+                .config(PibeConfig {
+                    validation: ValidationPolicy::Strict,
+                    ..PibeConfig::lax(DefenseSet::ALL)
+                })
                 .build()
                 .expect_err("strict mode must reject the corrupt profile");
             assert!(
@@ -1095,7 +1008,10 @@ mod tests {
         // fault is on the record.
         let img = Image::builder(&k.module)
             .profile(&p)
-            .config(cfg.with_failure(FailurePolicy::SkipStage))
+            .config(PibeConfig {
+                failure: FailurePolicy::SkipStage,
+                ..cfg
+            })
             .inject_fault(Stage::Inline, ModuleCorruption::DanglingBlock, 11)
             .build()
             .expect("skip policy must survive the stage fault");
@@ -1108,7 +1024,10 @@ mod tests {
         // A hardening fault aborts even under SkipStage.
         let err = Image::builder(&k.module)
             .profile(&p)
-            .config(cfg.with_failure(FailurePolicy::SkipStage))
+            .config(PibeConfig {
+                failure: FailurePolicy::SkipStage,
+                ..cfg
+            })
             .inject_fault(Stage::Harden, ModuleCorruption::DanglingBlock, 11)
             .build()
             .expect_err("a hardening fault must always abort");
@@ -1121,7 +1040,10 @@ mod tests {
     #[test]
     fn dce_stage_strips_cold_mass_and_reports_the_map() {
         let (k, p) = profiled_kernel();
-        let cfg = PibeConfig::lax(DefenseSet::ALL).with_dce(true);
+        let cfg = PibeConfig {
+            dce: true,
+            ..PibeConfig::lax(DefenseSet::ALL)
+        };
         let img = Image::builder(&k.module)
             .profile(&p)
             .config(cfg)
@@ -1136,11 +1058,7 @@ mod tests {
         let new_entry = map.translate(entry).expect("profiled entry kept");
         assert_eq!(img.module.function(new_entry).name(), "sys_read");
         // Without the knob nothing changes.
-        let plain = Image::builder(&k.module)
-            .profile(&p)
-            .config(PibeConfig::lax(DefenseSet::ALL))
-            .build()
-            .expect("builds");
+        let plain = build(&k, &p, PibeConfig::lax(DefenseSet::ALL));
         assert!(plain.dce_stats.is_none() && plain.dce_map.is_none());
         assert!(plain.module.len() > img.module.len());
     }
@@ -1156,7 +1074,10 @@ mod tests {
         };
         let img = Image::builder(&k.module)
             .profile(&p)
-            .config(PibeConfig::lax(DefenseSet::ALL).with_dce(true))
+            .config(PibeConfig {
+                dce: true,
+                ..PibeConfig::lax(DefenseSet::ALL)
+            })
             .observe_stages(&obs)
             .build()
             .expect("builds");
@@ -1203,7 +1124,7 @@ mod tests {
     fn warm_harden_cache_is_invisible_in_the_image() {
         let (k, p) = profiled_kernel();
         let cfg = PibeConfig::lax(DefenseSet::ALL);
-        let cold = build_image(&k.module, &p, &cfg);
+        let cold = build(&k, &p, cfg);
 
         let cache = HardenCache::new();
         for round in 0..3 {
@@ -1253,7 +1174,10 @@ mod tests {
         assert!(landed);
         let err = Image::builder(&k.module)
             .profile(&bad)
-            .config(PibeConfig::lax(DefenseSet::ALL).with_validation(ValidationPolicy::Strict))
+            .config(PibeConfig {
+                validation: ValidationPolicy::Strict,
+                ..PibeConfig::lax(DefenseSet::ALL)
+            })
             .build()
             .expect_err("strict validation rejects");
         assert!(!err.is_recoverable(), "{err}");
@@ -1263,10 +1187,13 @@ mod tests {
     fn skipped_stage_never_weakens_defenses() {
         let (k, p) = profiled_kernel();
         let cfg = PibeConfig::lax(DefenseSet::ALL);
-        let clean = build_image(&k.module, &p, &cfg);
+        let clean = build(&k, &p, cfg);
         let degraded = Image::builder(&k.module)
             .profile(&p)
-            .config(cfg.with_failure(FailurePolicy::SkipStage))
+            .config(PibeConfig {
+                failure: FailurePolicy::SkipStage,
+                ..cfg
+            })
             .inject_fault(Stage::Icp, ModuleCorruption::DanglingCallee, 5)
             .build()
             .expect("skip policy builds");

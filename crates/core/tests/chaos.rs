@@ -84,7 +84,10 @@ fn assert_fully_defended(img: &Image, reference: &Image, context: &str) {
 #[test]
 fn repair_skipstage_survives_hundreds_of_profile_corruptions() {
     let (module, profile) = fixture();
-    let cfg = PibeConfig::lax(DefenseSet::ALL).with_failure(FailurePolicy::SkipStage);
+    let cfg = PibeConfig {
+        failure: FailurePolicy::SkipStage,
+        ..PibeConfig::lax(DefenseSet::ALL)
+    };
     let reference = Image::builder(module)
         .profile(profile)
         .config(cfg)
@@ -124,7 +127,10 @@ fn repair_skipstage_survives_hundreds_of_profile_corruptions() {
 #[test]
 fn strict_abort_rejects_every_profile_corruption_with_a_typed_error() {
     let (module, profile) = fixture();
-    let cfg = PibeConfig::lax(DefenseSet::ALL).with_validation(ValidationPolicy::Strict);
+    let cfg = PibeConfig {
+        validation: ValidationPolicy::Strict,
+        ..PibeConfig::lax(DefenseSet::ALL)
+    };
     let base = seed_base();
     let mut landed_seeds = 0;
     for seed in base..base + 260 {
@@ -167,9 +173,11 @@ fn corrupt_base_modules_are_rejected_before_any_pass_runs() {
         landed_seeds += 1;
         for cfg in [
             PibeConfig::lax(DefenseSet::ALL),
-            PibeConfig::lax(DefenseSet::ALL)
-                .with_validation(ValidationPolicy::Strict)
-                .with_failure(FailurePolicy::SkipStage),
+            PibeConfig {
+                validation: ValidationPolicy::Strict,
+                failure: FailurePolicy::SkipStage,
+                ..PibeConfig::lax(DefenseSet::ALL)
+            },
         ] {
             let err = match Image::builder(&bad).profile(profile).config(cfg).build() {
                 Ok(_) => panic!("seed {seed} ({kind}): corrupt base must be rejected"),
@@ -206,7 +214,10 @@ fn injected_optimization_faults_skip_or_abort_by_policy() {
         // Lenient: the stage rolls back and the build completes defended.
         let img = Image::builder(module)
             .profile(profile)
-            .config(PibeConfig::lax(DefenseSet::ALL).with_failure(FailurePolicy::SkipStage))
+            .config(PibeConfig {
+                failure: FailurePolicy::SkipStage,
+                ..PibeConfig::lax(DefenseSet::ALL)
+            })
             .inject_fault(stage, fault, seed)
             .build()
             .unwrap_or_else(|e| panic!("seed {seed} ({stage}/{fault}): skip must build: {e}"));
@@ -246,7 +257,10 @@ fn hardening_faults_always_abort_even_under_skipstage() {
         for failure in [FailurePolicy::Abort, FailurePolicy::SkipStage] {
             let err = Image::builder(module)
                 .profile(profile)
-                .config(PibeConfig::lax(DefenseSet::ALL).with_failure(failure))
+                .config(PibeConfig {
+                    failure,
+                    ..PibeConfig::lax(DefenseSet::ALL)
+                })
                 .inject_fault(Stage::Harden, ModuleCorruption::DanglingBlock, seed)
                 .build()
                 .expect_err("a hardening fault must abort under every policy");
@@ -272,7 +286,10 @@ fn farm_batch_with_one_panicking_config_completes_every_other() {
         .expect("some seed plants a dangling target");
     let farm = ImageFarm::new(module.clone(), poisoned_profile).with_threads(3);
 
-    let poisoned = PibeConfig::lax(DefenseSet::ALL).with_validation(ValidationPolicy::TrustProfile);
+    let poisoned = PibeConfig {
+        validation: ValidationPolicy::TrustProfile,
+        ..PibeConfig::lax(DefenseSet::ALL)
+    };
     let healthy = [
         PibeConfig::lto(),
         PibeConfig::lto_with(DefenseSet::ALL),

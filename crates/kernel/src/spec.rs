@@ -37,7 +37,7 @@ impl KernelSpec {
         }
     }
 
-    /// A mid-size kernel for Criterion benches (~15% of paper scale).
+    /// A mid-size kernel (~15% of paper scale).
     pub fn bench() -> Self {
         KernelSpec {
             seed: 0x51BE,

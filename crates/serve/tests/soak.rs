@@ -28,7 +28,10 @@ fn soak_200_epochs_of_corrupted_shards_stays_bit_identical_and_never_freezes() {
         },
     );
     let initial = profile_case(&case);
-    let config = PibeConfig::lax(DefenseSet::ALL).with_dce(true);
+    let config = PibeConfig {
+        dce: true,
+        ..PibeConfig::lax(DefenseSet::ALL)
+    };
     let serve = ServeConfig {
         watchdog: Duration::from_secs(60),
         max_retries: 1,

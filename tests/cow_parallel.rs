@@ -68,11 +68,17 @@ fn config_sweep() -> Vec<(&'static str, PibeConfig)> {
         ),
         (
             "full99+all+dce",
-            PibeConfig::full(Budget::P99, DefenseSet::ALL).with_dce(true),
+            PibeConfig {
+                dce: true,
+                ..PibeConfig::full(Budget::P99, DefenseSet::ALL)
+            },
         ),
         (
             "lax+all+dce",
-            PibeConfig::lax(DefenseSet::ALL).with_dce(true),
+            PibeConfig {
+                dce: true,
+                ..PibeConfig::lax(DefenseSet::ALL)
+            },
         ),
     ]
 }

@@ -1,7 +1,7 @@
 //! End-to-end pipeline invariants across crates: the transformations must
 //! preserve program semantics, keep the IR valid, and stay deterministic.
 
-use pibe::{Image, PibeConfig};
+use pibe::{FailurePolicy, Image, ModuleCorruption, PibeConfig, PipelineError, Stage};
 use pibe_harden::DefenseSet;
 use pibe_kernel::measure::{collect_profile, run_latency};
 use pibe_kernel::workloads::{lmbench_suite, Benchmark, WorkloadSpec};
@@ -175,4 +175,70 @@ fn profile_roundtrip_reproduces_the_image() {
     assert_eq!(a.module.code_bytes(), b.module.code_bytes());
     assert_eq!(a.inline_stats, b.inline_stats);
     assert_eq!(a.icp_stats, b.icp_stats);
+}
+
+/// A stage rolled back under `SkipStage` leaves exactly the image the same
+/// configuration builds with that stage switched off: the module, the
+/// defense and audit reports, the size and every other stage's statistics.
+/// Under the default `Abort` the same fault fails the build naming the
+/// stage.
+#[test]
+fn a_rolled_back_stage_builds_the_image_without_that_stage() {
+    let (kernel, profile) = lab();
+    let cfg = PibeConfig {
+        dce: true,
+        ..PibeConfig::lax(DefenseSet::ALL)
+    };
+    let build = |config: PibeConfig, fault: Option<Stage>| {
+        let builder = Image::builder(&kernel.module)
+            .profile(&profile)
+            .config(config);
+        match fault {
+            Some(stage) => builder.inject_fault(stage, ModuleCorruption::DanglingBlock, 3),
+            None => builder,
+        }
+        .build()
+    };
+    for (stage, without) in [
+        (Stage::Icp, PibeConfig { icp: None, ..cfg }),
+        (
+            Stage::Inline,
+            PibeConfig {
+                inliner: None,
+                ..cfg
+            },
+        ),
+        (Stage::Dce, PibeConfig { dce: false, ..cfg }),
+    ] {
+        let skipped = build(
+            PibeConfig {
+                failure: FailurePolicy::SkipStage,
+                ..cfg
+            },
+            Some(stage),
+        )
+        .unwrap_or_else(|e| panic!("{stage}: SkipStage must survive the fault: {e}"));
+        let reference = build(without, None).expect("reference build succeeds");
+        assert!(skipped.faults.contains(stage), "{stage}: fault not logged");
+        assert_eq!(skipped.metrics.rollbacks, 1, "{stage}");
+        assert_eq!(
+            skipped.module.to_string(),
+            reference.module.to_string(),
+            "{stage}: rolled-back image differs from the stage-less build"
+        );
+        assert_eq!(skipped.harden_report, reference.harden_report, "{stage}");
+        assert_eq!(skipped.audit, reference.audit, "{stage}");
+        assert_eq!(skipped.size, reference.size, "{stage}");
+        assert_eq!(skipped.icp_stats, reference.icp_stats, "{stage}");
+        assert_eq!(skipped.inline_stats, reference.inline_stats, "{stage}");
+        assert_eq!(skipped.dce_stats, reference.dce_stats, "{stage}");
+
+        match build(cfg, Some(stage)) {
+            Err(PipelineError::StageFailed { stage: failed, .. }) => {
+                assert_eq!(failed, stage, "Abort names the wrong stage")
+            }
+            Err(other) => panic!("{stage}: wanted StageFailed, got {other}"),
+            Ok(_) => panic!("{stage}: Abort must fail the build"),
+        }
+    }
 }

@@ -48,7 +48,10 @@ fn profile_from_json(json: &str) -> Profile {
 fn strict_error(m: &Module, p: &Profile) -> ProfileIssue {
     let err = Image::builder(m)
         .profile(p)
-        .config(PibeConfig::lax(DefenseSet::ALL).with_validation(ValidationPolicy::Strict))
+        .config(PibeConfig {
+            validation: ValidationPolicy::Strict,
+            ..PibeConfig::lax(DefenseSet::ALL)
+        })
         .build()
         .expect_err("strict validation must reject this profile");
     match err {

@@ -47,7 +47,10 @@ fn render() -> String {
         SEED,
     )
     .expect("profiling succeeds");
-    let config = PibeConfig::lax(DefenseSet::ALL).with_dce(true);
+    let config = PibeConfig {
+        dce: true,
+        ..PibeConfig::lax(DefenseSet::ALL)
+    };
     let serve = ServeConfig {
         watchdog: Duration::from_secs(600),
         max_retries: 1,

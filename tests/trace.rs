@@ -3,7 +3,7 @@
 //! well-formed JSON that Perfetto can load (per-track events properly
 //! nested, one named track per farm worker).
 
-use pibe::{Image, ImageFarm, PibeConfig};
+use pibe::{Image, ImageFarm, PibeConfig, ValidationPolicy};
 use pibe_harden::DefenseSet;
 use pibe_kernel::measure::{collect_profile, run_latency, run_throughput};
 use pibe_kernel::workloads::{lmbench_suite, Benchmark, MacroBench, WorkloadSpec};
@@ -92,6 +92,53 @@ fn span_tree_is_deterministic_for_a_fixed_seed() {
         .iter()
         .filter(|(_, _, name)| name.starts_with("stage."))
         .all(|(_, depth, _)| *depth > build_depth));
+}
+
+/// Per-stage verification is timed as its own `stage.verify` span, a
+/// direct child of the stage it checks, so `BuildMetrics::verify_ns` rather
+/// than the stage's time carries it. Under `TrustProfile` the stages run
+/// unverified and record no such child.
+#[test]
+fn per_stage_verification_is_a_child_span_of_each_guarded_stage() {
+    let _g = lock();
+    let (kernel, profile) = lab();
+    let guarded = PibeConfig {
+        dce: true,
+        ..PibeConfig::full(Budget::P99_9, DefenseSet::ALL)
+    };
+    let trusted = PibeConfig {
+        validation: ValidationPolicy::TrustProfile,
+        ..guarded
+    };
+    for (config, verified) in [(guarded, true), (trusted, false)] {
+        pibe_trace::set_enabled(true);
+        pibe_trace::set_track_name("test");
+        let _ = pibe_trace::take();
+        Image::builder(&kernel.module)
+            .profile(&profile)
+            .config(config)
+            .threads(1)
+            .build()
+            .expect("traced build succeeds");
+        pibe_trace::set_enabled(false);
+        let spans = pibe_trace::take().structure();
+        for stage in ["stage.icp", "stage.inline", "stage.dce", "stage.harden"] {
+            let at = spans
+                .iter()
+                .position(|(_, _, name)| name == stage)
+                .unwrap_or_else(|| panic!("missing span for {stage}"));
+            let depth = spans[at].1;
+            let verify_child = spans[at + 1..]
+                .iter()
+                .take_while(|(_, d, _)| *d > depth)
+                .any(|(_, d, name)| *d == depth + 1 && name == "stage.verify");
+            assert_eq!(
+                verify_child, verified,
+                "{stage} under {:?}: stage.verify child present = {verify_child}",
+                config.validation
+            );
+        }
+    }
 }
 
 /// The Chrome trace-event export of a parallel farm build parses as JSON,
@@ -313,7 +360,10 @@ fn an_unchanged_base_module_is_scanned_for_call_sites_once() {
         let mut svc = PibeService::bootstrap(
             kernel.module.clone(),
             profile.clone(),
-            PibeConfig::lax(DefenseSet::ALL).with_dce(true),
+            PibeConfig {
+                dce: true,
+                ..PibeConfig::lax(DefenseSet::ALL)
+            },
             serve,
         )
         .expect("bootstrap build");
@@ -350,7 +400,10 @@ fn an_unchanged_base_module_is_scanned_for_call_sites_once() {
         PibeConfig::lto_with(DefenseSet::ALL),
         PibeConfig::full(Budget::P99_9, DefenseSet::ALL),
         PibeConfig::lax(DefenseSet::ALL),
-        PibeConfig::lax(DefenseSet::ALL).with_dce(true),
+        PibeConfig {
+            dce: true,
+            ..PibeConfig::lax(DefenseSet::ALL)
+        },
         PibeConfig::pibe_baseline(),
     ];
     let base = kernel.module.clone();
